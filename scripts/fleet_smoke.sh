@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Fleet-scale smoke: run the sharded fleet experiment at CI scale at
-# two shard counts (plus a parallel run), require the artifacts to be
-# byte-identical, and bound the driver's peak RSS to prove the
-# streaming (incremental-consume) results path holds memory flat.
+# Fleet-scale smoke: run the fleet experiment at CI scale serially and
+# with --jobs 2, require the artifacts to be byte-identical, require
+# two sanitized runs to draw the same count from every RNG stream, and
+# bound the driver's peak RSS to prove the streaming
+# (incremental-consume) results path holds memory flat.
 #
 # Usage: bash scripts/fleet_smoke.sh   (from the repo root)
 set -euo pipefail
@@ -40,36 +41,31 @@ if peak_mb > float(bound_mb):
 EOF
 }
 
-echo "== fleet run, 1 shard =="
-run_bounded "$WORK/s1" "${SCALE[@]}" --shards 1 | tail -2
+echo "== fleet run, serial =="
+run_bounded "$WORK/serial" "${SCALE[@]}" | tail -2
 
-echo "== fleet run, 4 shards =="
-run_bounded "$WORK/s4" "${SCALE[@]}" --shards 4 | tail -2
+echo "== fleet run, --jobs 2 =="
+run_bounded "$WORK/j2" "${SCALE[@]}" --jobs 2 | tail -2
 
-echo "== fleet run, 2 shards + --jobs 2 =="
-run_bounded "$WORK/s2j2" "${SCALE[@]}" --shards 2 --jobs 2 | tail -2
+echo "== diff: artifacts serial vs parallel dispatch =="
+diff -r "$WORK/serial" "$WORK/j2"
 
-echo "== diff: artifacts across shard counts and parallel dispatch =="
-diff -r "$WORK/s1" "$WORK/s4"
-diff -r "$WORK/s1" "$WORK/s2j2"
-
-echo "== sanitizer draw-count invariance across shards =="
+echo "== sanitizer draw counts across two runs =="
 python - "${SCALE[@]}" <<'EOF'
 import sys
 
 from repro.cli import main
 from repro.sim import sanitize
 
-counts = {}
-for shards in (1, 4):
+counts = []
+for run in range(2):
     sanitize.reset_collector()
-    code = main(["fleet", *sys.argv[1:], "--shards", str(shards),
-                 "--sanitize"])
-    assert code == 0, f"fleet --shards {shards} exited {code}"
-    counts[shards] = dict(sanitize.aggregate_draw_counts())
-assert counts[1], "sanitized fleet run recorded no draws"
-assert counts[1] == counts[4], "per-stream draw counts diverged"
-print(f"draw counts identical over {len(counts[1])} stream(s)")
+    code = main(["fleet", *sys.argv[1:], "--sanitize"])
+    assert code == 0, f"sanitized fleet run {run} exited {code}"
+    counts.append(dict(sanitize.aggregate_draw_counts()))
+assert counts[0], "sanitized fleet run recorded no draws"
+assert counts[0] == counts[1], "per-stream draw counts diverged"
+print(f"draw counts identical over {len(counts[0])} stream(s)")
 EOF
 
-echo "fleet smoke passed: byte-identical across shards/jobs, RSS bounded"
+echo "fleet smoke passed: serial == --jobs 2, draw counts repeat, RSS bounded"

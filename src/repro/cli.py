@@ -32,10 +32,10 @@ Subcommands
     Inspect or empty the content-addressed result cache.
 ``repro runs status|resume|gc DIR``
     Inspect, continue, or clean a crash-safe run directory.
-``repro fleet [--pms N] [--vms N] [--clients N] [--shards N] [--fast]``
-    Datacenter-scale VOA-vs-VOU experiment over the sharded fleet
-    simulator with streaming per-cell aggregation; artifacts are
-    byte-identical at any ``--shards`` value and serial vs ``--jobs``.
+``repro fleet [--pms N] [--vms N] [--clients N] [--epoch S] [--fast]``
+    Datacenter-scale VOA-vs-VOU experiment: every PM on one event queue,
+    a placement coordinator at each epoch barrier, streaming per-cell
+    aggregation; artifacts are byte-identical serial vs ``--jobs``.
 ``repro bench [--fast] [--jobs N] [--chunk N] [--out FILE] [--compare BASELINE]``
     Perf harness: run the fixed bench matrix serial / parallel / cold /
     warm-cache and write a ``BENCH_<rev>.json`` record; ``--compare``
@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_p = sub.add_parser(
         "fleet",
-        help="datacenter-scale VOA-vs-VOU sweep over the sharded fleet "
-        "simulator (streaming aggregation, shard-count-invariant output)",
+        help="datacenter-scale VOA-vs-VOU sweep over the fleet simulator "
+        "(one event queue, streaming aggregation)",
     )
     fleet_p.add_argument(
         "--pms", type=int, default=None, metavar="N",
@@ -225,12 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_p.add_argument(
         "--epoch", type=float, default=None, metavar="S",
-        help="cross-shard barrier epoch length (default 10)",
-    )
-    fleet_p.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="event-queue shards the PMs are partitioned over; any "
-        "value produces byte-identical output (default 1)",
+        help="placement epoch: seconds between the coordinator's "
+        "migration decisions (default 10)",
     )
     fleet_p.add_argument(
         "--trials", type=int, default=None, metavar="N",
@@ -1099,9 +1095,7 @@ def _fleet(args: argparse.Namespace) -> int:
         if value is not None:
             kwargs[key] = value
     try:
-        results = run_fleet_experiment(
-            shards=args.shards, seed=args.seed, **kwargs
-        )
+        results = run_fleet_experiment(seed=args.seed, **kwargs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

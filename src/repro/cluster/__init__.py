@@ -1,4 +1,10 @@
-"""Multi-PM testbed orchestration and the sharded fleet simulator."""
+"""Multi-PM testbed orchestration and the fleet-scale simulator.
+
+The fleet simulator lives in :mod:`repro.cluster.fleet`; it is not
+re-exported here because it imports :mod:`repro.placement`, which
+(through :mod:`repro.models` and :mod:`repro.monitor`) imports this
+package.
+"""
 
 from repro.cluster.cluster import ROUTING_PRIORITY, Cluster
 from repro.cluster.deployment import (
@@ -9,23 +15,14 @@ from repro.cluster.deployment import (
     WorkloadRef,
     build_deployment,
 )
-from repro.cluster.fleet import FleetConfig, FleetSummary, run_fleet
-from repro.cluster.mailbox import CONTROL, Message, Outbox, merge_epoch
 
 __all__ = [
-    "CONTROL",
     "Cluster",
     "Deployment",
     "DeploymentSpec",
-    "FleetConfig",
-    "FleetSummary",
-    "Message",
-    "Outbox",
     "ROUTING_PRIORITY",
     "RubisRef",
     "VmPlacement",
     "WorkloadRef",
     "build_deployment",
-    "merge_epoch",
-    "run_fleet",
 ]

@@ -1,4 +1,4 @@
-"""Fleet-scale sharded datacenter simulator (VOA vs VOU at 1000+ PMs).
+"""Fleet-scale datacenter simulator (VOA vs VOU at 1000+ PMs).
 
 The paper compares overhead-aware (VOA) and overhead-unaware (VOU)
 placement on 2 PMs and 5 VMs (Fig. 10).  This module runs the same
@@ -8,39 +8,33 @@ VMs, and an open-loop client population of 10^5 - 10^6 users
 
 Architecture
 ------------
-PMs are partitioned across *shards* in contiguous index blocks, each
-shard owning its own :class:`repro.sim.engine.Simulator` (event queue,
-clock, named RNG streams).  Within a shard every PM is one
-:class:`repro.sim.process.PeriodicProcess` that advances a fluid load
-model each tick: per-VM demand is the VM's peak-demand template scaled
-by the global open-loop load factor and a per-PM multiplicative noise
-draw; PM CPU requirement is guests + Dom0 + hypervisor via the linear
-overhead form (:class:`repro.placement.admission.LinearOverhead`); the
-served request rate degrades by ``capacity / required`` when the PM
-overloads.  PMs that stay overloaded emit *hotspot* messages.
+Every PM is one :class:`repro.sim.process.PeriodicProcess` on a single
+:class:`repro.sim.engine.Simulator` (one event queue, clock and set of
+named RNG streams).  Each tick a PM advances a fluid load model:
+per-VM demand is the VM's peak-demand template scaled by the global
+open-loop load factor and a per-PM multiplicative noise draw; PM CPU
+requirement is guests + Dom0 + hypervisor via the linear overhead form
+(:class:`repro.placement.admission.LinearOverhead`); the served
+request rate degrades by ``capacity / required`` when the PM
+overloads.  PMs that stay overloaded append a *hotspot* report to a
+plain list.
 
-Shards never touch each other.  All cross-PM coordination flows
-through the epoch-barrier mailbox (:mod:`repro.cluster.mailbox`): at
-each barrier the driver merges every shard's outbox into one batch
-sorted by the shard-count-invariant ``(time, src_shard, seq)`` key,
-the placement coordinator consumes hotspots from that batch, decides
-migrations with the O(1) aggregate admission predicates of
-:class:`repro.placement.admission.AdmissionPolicy`, and its
-``migrate_out`` / ``migrate_in`` messages are delivered at the start
-of the next epoch.
+The placement coordinator acts only at the epoch barrier, after each
+epoch's ``run_until``: it consumes the epoch's hotspot reports in send
+order, decides migrations with the O(1) aggregate admission predicates
+of :class:`repro.placement.admission.AdmissionPolicy`, and the
+migrations are applied to the PMs (each one's removal before its
+arrival, in decision order) before the next epoch runs.  The
+coordinator is the single owner of the per-VM templates; a PM keeps
+only its ordered VM ids and gathers its template rows from the
+coordinator's matrix.
 
-Determinism contract (byte-identical at any shard count):
+Determinism contract:
 
-* PM *i* lives on shard ``i * shards // pms`` -- contiguous blocks, so
-  sorting by ``(time, src_shard, seq)`` equals global PM-index order
-  at equal times.
 * Each PM draws only from its own named stream ``fleet.pm.<i>``;
-  stream seeds depend on (master seed, name) only, never on the shard
-  layout.  Deployment draws come from the coordinator-owned
-  ``fleet.deploy`` stream before any shard exists.
-* The coordinator runs outside every shard, over the sorted batch.
-* Per-epoch aggregates are reduced in global PM-index order, so
-  floating-point accumulation order is shard-count independent.
+  deployment draws come from the ``fleet.deploy`` stream before any PM
+  exists.  Stream seeds depend on (master seed, name) only.
+* Per-epoch aggregates are reduced in PM-index order.
 
 Memory stays bounded at fleet scale: per-PM state is a few small numpy
 arrays and the run keeps only per-epoch aggregate series (a handful of
@@ -55,7 +49,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.mailbox import CONTROL, Message, Outbox, merge_epoch
 from repro.obs import runtime as _obs
 from repro.placement.admission import (
     BW,
@@ -75,7 +68,7 @@ STRATEGIES = (VOA, VOU)
 
 
 def pm_stream(index: int) -> str:
-    """The named RNG stream of PM ``index`` (shard-layout independent)."""
+    """The named RNG stream of PM ``index``."""
     return f"fleet.pm.{index:05d}"
 
 
@@ -90,7 +83,6 @@ class FleetConfig:
     duration_s: float = 120.0
     tick_s: float = 1.0
     epoch_s: float = 10.0
-    shards: int = 1
     strategy: str = VOA
     seed: int = 0
     # Open-loop arrival profile.
@@ -122,8 +114,6 @@ class FleetConfig:
             raise ValueError("vms must be >= 1")
         if self.clients < 1:
             raise ValueError("clients must be >= 1")
-        if not 1 <= self.shards <= self.pms:
-            raise ValueError("shards must be in [1, pms]")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.tick_s <= 0 or self.epoch_s < self.tick_s:
@@ -136,10 +126,6 @@ class FleetConfig:
             raise ValueError("hotspot_ticks must be >= 1")
         if self.max_migrations_per_epoch < 0:
             raise ValueError("max_migrations_per_epoch must be >= 0")
-
-    def shard_of(self, pm_index: int) -> int:
-        """The shard owning PM ``pm_index`` (contiguous blocks)."""
-        return pm_index * self.shards // self.pms
 
     @property
     def epochs(self) -> int:
@@ -164,13 +150,12 @@ class FleetConfig:
 
 @dataclass
 class FleetSummary:
-    """What one fleet run produced (JSON-able, shard-count invariant)."""
+    """What one fleet run produced (JSON-able)."""
 
     strategy: str
     seed: int
     pms: int
     vms: int
-    shards: int
     epochs: int
     clients: int
     duration_s: float
@@ -185,7 +170,6 @@ class FleetSummary:
     overloaded_pm_ticks: int = 0
     hotspots: int = 0
     migrations: int = 0
-    migrations_cross_shard: int = 0
     migrations_rejected: int = 0
     # Per-epoch series (bounded: one entry per epoch).
     epoch_time: List[float] = field(default_factory=list)
@@ -196,121 +180,19 @@ class FleetSummary:
     # Substrate accounting.
     events: int = 0
     messages: int = 0
-    per_shard: List[Dict[str, int]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
-        out = dict(vars(self))
-        out["per_shard"] = [dict(s) for s in self.per_shard]
-        return out
-
-    def invariant_dict(self) -> Dict[str, object]:
-        """:meth:`as_dict` minus the fields that describe the shard
-        layout itself (``shards``, ``per_shard``,
-        ``migrations_cross_shard`` -- the last is 0 by definition at
-        one shard).  Everything returned here is byte-identical at any
-        shard count; artifacts and determinism checks compare this.
-        """
-        out = self.as_dict()
-        for key in ("shards", "per_shard", "migrations_cross_shard"):
-            out.pop(key)
-        return out
+        return dict(vars(self))
 
 
-class _PM:
-    """One physical machine: fluid per-tick load model."""
+class _Fleet:
+    """The one event queue: every PM ticks on one simulator."""
 
-    __slots__ = (
-        "index", "shard", "vm_ids", "templates", "weight_sum", "rng",
-        "streak", "cooldown_until", "acc_offered", "acc_served",
-        "acc_overloaded", "acc_hotspots",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        shard: "_Shard",
-        vm_ids: List[int],
-        templates: np.ndarray,
-    ) -> None:
-        self.index = index
-        self.shard = shard
-        self.vm_ids = list(vm_ids)
-        self.templates = np.array(templates, dtype=float).reshape(-1, 4)
-        self.weight_sum = float(self.templates[:, CPU].sum())
-        self.rng = shard.sim.rng(pm_stream(index))
-        self.streak = 0
-        self.cooldown_until = 0.0
-        self.acc_offered = 0.0
-        self.acc_served = 0.0
-        self.acc_overloaded = 0
-        self.acc_hotspots = 0
-
-    def reset_epoch(self) -> None:
-        self.acc_offered = 0.0
-        self.acc_served = 0.0
-        self.acc_overloaded = 0
-        self.acc_hotspots = 0
-
-    def add_vm(self, vm: int, template: np.ndarray) -> None:
-        self.vm_ids.append(vm)
-        self.templates = np.vstack([self.templates, template.reshape(1, 4)])
-        self.weight_sum = float(self.templates[:, CPU].sum())
-
-    def remove_vm(self, vm: int) -> np.ndarray:
-        pos = self.vm_ids.index(vm)
-        template = self.templates[pos].copy()
-        del self.vm_ids[pos]
-        self.templates = np.delete(self.templates, pos, axis=0)
-        self.weight_sum = float(self.templates[:, CPU].sum())
-        return template
-
-    def tick(self, now: float) -> None:
-        shard = self.shard
-        n = len(self.vm_ids)
-        if n == 0:
-            return
-        rho = shard.arrivals.load_factor(now)
-        if shard.noise_rel > 0.0:
-            noise = self.rng.normal(1.0, shard.noise_rel, size=n)
-            np.clip(noise, 0.5, 1.5, out=noise)
-            sum_m = self.templates.T @ (rho * noise)
-        else:
-            sum_m = self.templates.sum(axis=0) * rho
-        required = shard.overhead.required_cpu(sum_m)
-        capacity = shard.effective_capacity_pct
-        offered = shard.rate_scale * rho * self.weight_sum
-        self.acc_offered += offered * shard.tick_s
-        if required <= capacity:
-            self.acc_served += offered * shard.tick_s
-            self.streak = 0
-            return
-        self.acc_served += offered * (capacity / required) * shard.tick_s
-        self.acc_overloaded += 1
-        self.streak += 1
-        if (
-            self.streak >= shard.hotspot_ticks
-            and now >= self.cooldown_until
-            and n > 1
-        ):
-            victim = int(np.argmax(self.templates[:, CPU]))
-            shard.outbox.send(
-                now, CONTROL, "hotspot",
-                pm=self.index, vm=self.vm_ids[victim],
-            )
-            self.acc_hotspots += 1
-            self.cooldown_until = now + shard.cooldown_s
-            self.streak = 0
-
-
-class _Shard:
-    """One partition: its own simulator, PMs, and outbox."""
-
-    def __init__(self, shard_id: int, config: FleetConfig,
-                 overhead: LinearOverhead, rate_scale: float,
-                 effective_capacity_pct: float) -> None:
-        self.shard_id = shard_id
-        self.sim = Simulator(seed=config.seed)
-        self.outbox = Outbox(shard_id)
+    def __init__(self, sim: Simulator, config: FleetConfig,
+                 coordinator: "_Coordinator", overhead: LinearOverhead,
+                 rate_scale: float, effective_capacity_pct: float) -> None:
+        self.sim = sim
+        self.coordinator = coordinator
         self.arrivals = config.arrivals()
         self.overhead = overhead
         self.effective_capacity_pct = effective_capacity_pct
@@ -319,26 +201,90 @@ class _Shard:
         self.noise_rel = config.demand_noise_rel
         self.hotspot_ticks = config.hotspot_ticks
         self.cooldown_s = config.cooldown_s
-        self.pms: Dict[int, _PM] = {}
+        self.pms: List[_PM] = []
+        #: ``(pm, vm)`` hotspot reports of the running epoch, in send order.
+        self.hotspots: List[Tuple[int, int]] = []
 
-    def add_pm(self, index: int, vm_ids: List[int],
-               templates: np.ndarray) -> None:
-        pm = _PM(index, self, vm_ids, templates)
-        self.pms[index] = pm
+    def add_pm(self, vm_ids: List[int]) -> None:
+        pm = _PM(len(self.pms), self, vm_ids)
+        self.pms.append(pm)
         PeriodicProcess(self.sim, self.tick_s, pm.tick)
 
-    def apply(self, msg: Message) -> None:
-        data = msg.data()
-        pm = self.pms[int(data["pm"])]
-        if msg.kind == "migrate_out":
-            pm.remove_vm(int(data["vm"]))
-        elif msg.kind == "migrate_in":
-            pm.add_vm(
-                int(data["vm"]),
-                np.array(data["template"], dtype=float),
-            )
+
+class _PM:
+    """One physical machine: fluid per-tick load model."""
+
+    __slots__ = (
+        "index", "fleet", "vm_ids", "templates", "weight_sum", "rng",
+        "streak", "cooldown_until", "acc_offered", "acc_served",
+        "acc_overloaded", "acc_hotspots",
+    )
+
+    def __init__(self, index: int, fleet: _Fleet, vm_ids: List[int]) -> None:
+        self.index = index
+        self.fleet = fleet
+        self.vm_ids = list(vm_ids)
+        self._load_templates()
+        self.rng = fleet.sim.rng(pm_stream(index))
+        self.streak = 0
+        self.cooldown_until = 0.0
+        self.acc_offered = 0.0
+        self.acc_served = 0.0
+        self.acc_overloaded = 0
+        self.acc_hotspots = 0
+
+    def _load_templates(self) -> None:
+        # The coordinator owns the templates; a PM only orders its rows.
+        self.templates = self.fleet.coordinator.templates[self.vm_ids]
+        self.weight_sum = float(self.templates[:, CPU].sum())
+
+    def reset_epoch(self) -> None:
+        self.acc_offered = 0.0
+        self.acc_served = 0.0
+        self.acc_overloaded = 0
+        self.acc_hotspots = 0
+
+    def add_vm(self, vm: int) -> None:
+        self.vm_ids.append(vm)
+        self._load_templates()
+
+    def remove_vm(self, vm: int) -> None:
+        self.vm_ids.remove(vm)
+        self._load_templates()
+
+    def tick(self, now: float) -> None:
+        fleet = self.fleet
+        n = len(self.vm_ids)
+        if n == 0:
+            return
+        rho = fleet.arrivals.load_factor(now)
+        if fleet.noise_rel > 0.0:
+            noise = self.rng.normal(1.0, fleet.noise_rel, size=n)
+            np.clip(noise, 0.5, 1.5, out=noise)
+            sum_m = self.templates.T @ (rho * noise)
         else:
-            raise ValueError(f"shard cannot apply message kind {msg.kind!r}")
+            sum_m = self.templates.sum(axis=0) * rho
+        required = fleet.overhead.required_cpu(sum_m)
+        capacity = fleet.effective_capacity_pct
+        offered = fleet.rate_scale * rho * self.weight_sum
+        self.acc_offered += offered * fleet.tick_s
+        if required <= capacity:
+            self.acc_served += offered * fleet.tick_s
+            self.streak = 0
+            return
+        self.acc_served += offered * (capacity / required) * fleet.tick_s
+        self.acc_overloaded += 1
+        self.streak += 1
+        if (
+            self.streak >= fleet.hotspot_ticks
+            and now >= self.cooldown_until
+            and n > 1
+        ):
+            victim = int(np.argmax(self.templates[:, CPU]))
+            fleet.hotspots.append((self.index, self.vm_ids[victim]))
+            self.acc_hotspots += 1
+            self.cooldown_until = now + fleet.cooldown_s
+            self.streak = 0
 
 
 class _Coordinator:
@@ -352,10 +298,8 @@ class _Coordinator:
         self.vm_pm = np.full(config.vms, -1, dtype=np.int64)
         self.sums = np.zeros((config.pms, 4), dtype=float)
         self.counts = np.zeros(config.pms, dtype=np.int64)
-        self.outbox = Outbox(CONTROL)
         self.placed_forced = 0
         self.migrations = 0
-        self.migrations_cross_shard = 0
         self.migrations_rejected = 0
 
     def place(self, vm: int, pm: int) -> None:
@@ -402,42 +346,31 @@ class _Coordinator:
             return None
         return int(np.argmax(mask))
 
-    def process(self, batch: List[Message], now: float) -> int:
-        """Consume one epoch's hotspot messages; emit migrations.
+    def process(
+        self, hotspots: List[Tuple[int, int]]
+    ) -> List[Tuple[int, int, int]]:
+        """Consume one epoch's ``(pm, vm)`` hotspot reports in send order.
 
-        Returns the number of migrations scheduled this barrier.
+        Returns the ``(vm, src, dst)`` migrations decided at this
+        barrier, in decision order.
         """
         cfg = self.config
-        scheduled = 0
-        for msg in batch:
-            if msg.dst_shard != CONTROL or msg.kind != "hotspot":
-                continue
-            data = msg.data()
-            pm, vm = int(data["pm"]), int(data["vm"])
+        moves: List[Tuple[int, int, int]] = []
+        for pm, vm in hotspots:
             if int(self.vm_pm[vm]) != pm:
                 continue  # stale: the VM already migrated away
-            if scheduled >= cfg.max_migrations_per_epoch:
+            if len(moves) >= cfg.max_migrations_per_epoch:
                 self.migrations_rejected += 1
                 continue
-            template = self.templates[vm]
-            dst = self.find_target(template, exclude=pm)
+            dst = self.find_target(self.templates[vm], exclude=pm)
             if dst is None:
                 self.migrations_rejected += 1
                 continue
             self.remove(vm)
             self.place(vm, dst)
-            self.outbox.send(
-                now, cfg.shard_of(pm), "migrate_out", pm=pm, vm=vm,
-            )
-            self.outbox.send(
-                now, cfg.shard_of(dst), "migrate_in", pm=dst, vm=vm,
-                template=tuple(float(x) for x in template),
-            )
-            scheduled += 1
+            moves.append((vm, pm, dst))
             self.migrations += 1
-            if cfg.shard_of(pm) != cfg.shard_of(dst):
-                self.migrations_cross_shard += 1
-        return scheduled
+        return moves
 
 
 def _draw_templates(config: FleetConfig, sim: Simulator) -> np.ndarray:
@@ -456,13 +389,11 @@ def _draw_templates(config: FleetConfig, sim: Simulator) -> np.ndarray:
 
 
 def run_fleet(config: FleetConfig) -> FleetSummary:
-    """Run one sharded fleet simulation; return its bounded summary."""
+    """Run one fleet simulation; return its bounded summary."""
     overhead = LinearOverhead.from_calibration()
     policy = config.policy()
-    # The coordinator's simulator exists for its (sanitizer-aware) RNG
-    # registry and never dispatches an event.
-    coord_sim = Simulator(seed=config.seed)
-    templates = _draw_templates(config, coord_sim)
+    sim = Simulator(seed=config.seed)
+    templates = _draw_templates(config, sim)
     coordinator = _Coordinator(config, policy, templates)
     with _obs.span("fleet.run", source="cluster"):
         coordinator.deploy()
@@ -472,93 +403,64 @@ def run_fleet(config: FleetConfig) -> FleetSummary:
         total_weight = float(templates[:, CPU].sum())
         peak_rate = float(config.clients) / config.think_time_s
         rate_scale = peak_rate / total_weight
-        shards = [
-            _Shard(s, config, overhead, rate_scale,
-                   policy.effective_capacity_pct)
-            for s in range(config.shards)
-        ]
+        fleet = _Fleet(sim, config, coordinator, overhead, rate_scale,
+                       policy.effective_capacity_pct)
         for pm_index in range(config.pms):
-            resident = [
-                int(vm) for vm in np.nonzero(
-                    coordinator.vm_pm == pm_index)[0]
-            ]
-            shards[config.shard_of(pm_index)].add_pm(
-                pm_index, resident, templates[resident],
-            )
+            fleet.add_pm(np.nonzero(coordinator.vm_pm == pm_index)[0].tolist())
         summary = FleetSummary(
             strategy=config.strategy,
             seed=config.seed,
             pms=config.pms,
             vms=config.vms,
-            shards=config.shards,
             epochs=config.epochs,
             clients=config.clients,
             duration_s=config.duration_s,
             pms_used=int((coordinator.counts > 0).sum()),
             placed_forced=coordinator.placed_forced,
         )
-        pending: List[Message] = []
-        messages = 0
         for epoch in range(config.epochs):
             t_end = min(config.duration_s, (epoch + 1) * config.epoch_s)
-            # Barrier delivery: last epoch's batch, in global order.
-            for msg in pending:
-                if msg.dst_shard != CONTROL:
-                    shards[msg.dst_shard].apply(msg)
-            for shard in shards:
-                shard.sim.run_until(t_end)
-            batch = merge_epoch([shard.outbox for shard in shards])
-            messages += len(batch)
-            for msg in batch:
-                _obs.inc("repro_fleet_messages_total", kind=msg.kind)
-            migrated = coordinator.process(batch, t_end)
-            pending = merge_epoch([coordinator.outbox])
-            messages += len(pending)
-            for msg in pending:
-                _obs.inc("repro_fleet_messages_total", kind=msg.kind)
-            # Per-epoch reduction in global PM-index order, so float
-            # accumulation order is independent of the shard layout.
+            sim.run_until(t_end)
+            # Barrier: the coordinator consumes the epoch's hotspot
+            # reports and its migrations land before the next epoch.
+            hotspots, fleet.hotspots = fleet.hotspots, []
+            moves = coordinator.process(hotspots)
+            for vm, src, dst in moves:
+                fleet.pms[src].remove_vm(vm)
+                fleet.pms[dst].add_vm(vm)
+            summary.messages += len(hotspots) + 2 * len(moves)
+            for kind, count in (("hotspot", len(hotspots)),
+                                ("migrate_out", len(moves)),
+                                ("migrate_in", len(moves))):
+                if count:
+                    _obs.inc("repro_fleet_messages_total", count, kind=kind)
             offered = served = 0.0
-            overloaded = hotspots = 0
-            for pm_index in range(config.pms):
-                pm = shards[config.shard_of(pm_index)].pms[pm_index]
+            overloaded = hotspot_count = 0
+            for pm in fleet.pms:
                 offered += pm.acc_offered
                 served += pm.acc_served
                 overloaded += pm.acc_overloaded
-                hotspots += pm.acc_hotspots
+                hotspot_count += pm.acc_hotspots
                 pm.reset_epoch()
             summary.epoch_time.append(float(t_end))
             summary.epoch_offered.append(offered)
             summary.epoch_served.append(served)
             summary.epoch_overloaded.append(overloaded)
-            summary.epoch_migrations.append(migrated)
+            summary.epoch_migrations.append(len(moves))
             summary.offered_total += offered
             summary.served_total += served
             summary.overloaded_pm_ticks += overloaded
-            summary.hotspots += hotspots
+            summary.hotspots += hotspot_count
             _obs.inc("repro_fleet_epochs_total")
         if summary.offered_total > 0:
             summary.served_fraction = (
                 summary.served_total / summary.offered_total
             )
         summary.migrations = coordinator.migrations
-        summary.migrations_cross_shard = coordinator.migrations_cross_shard
         summary.migrations_rejected = coordinator.migrations_rejected
-        summary.events = sum(shard.sim.dispatched for shard in shards)
-        summary.messages = messages
-        summary.per_shard = [
-            {
-                "shard": shard.shard_id,
-                "pms": len(shard.pms),
-                "vms": sum(len(pm.vm_ids) for pm in shard.pms.values()),
-                "events": shard.sim.dispatched,
-                "sent": shard.outbox.sent,
-            }
-            for shard in shards
-        ]
+        summary.events = sim.dispatched
     _obs.inc("repro_fleet_migrations_total", coordinator.migrations)
     _obs.inc("repro_fleet_hotspots_total", summary.hotspots)
-    _obs.set_gauge("repro_fleet_shards", config.shards)
     _obs.set_gauge("repro_fleet_pms", config.pms)
     _obs.set_gauge("repro_fleet_vms", config.vms)
     return summary
@@ -572,7 +474,6 @@ def run_fleet_cell(cell) -> Tuple[Dict[str, object], int]:
         clients=cell.clients,
         duration_s=cell.duration_s,
         epoch_s=cell.epoch_s,
-        shards=cell.shards,
         strategy=cell.strategy,
         seed=cell.seed,
         ramp_s=cell.ramp_s,

@@ -1,8 +1,9 @@
 """Fleet-scale VOA vs VOU: the Figure 10 comparison at datacenter size.
 
 The paper's placement experiment stops at 2 PMs and 5 VMs; this one
-runs the same strategies over a sharded fleet simulator
-(:mod:`repro.cluster.fleet`) with 1000+ PMs, 10^4+ VMs and an
+runs the same strategies over the fleet simulator
+(:mod:`repro.cluster.fleet`) -- one event queue with a placement
+coordinator at the epoch barrier -- with 1000+ PMs, 10^4+ VMs and an
 open-loop population of 10^5+ emulated clients:
 
 * **fleeta** -- fleet throughput over time: the open-loop offered load
@@ -18,10 +19,8 @@ open-loop population of 10^5+ emulated clients:
 Trials fan out as :class:`~repro.perf.cells.FleetCell`\\ s through
 ``run_cells``' incremental-consume mode: each trial's bounded summary
 is folded into per-strategy accumulators and released, so a fleet
-sweep's memory stays flat no matter how many trials ride along.  All
-series and checks are built from the summary's *invariant* fields, so
-the rendered artifacts are byte-identical at any ``--shards`` value
-and for serial-vs-``--jobs`` runs alike.
+sweep's memory stays flat no matter how many trials ride along.  The
+rendered artifacts are byte-identical for serial and ``--jobs`` runs.
 """
 
 from __future__ import annotations
@@ -108,7 +107,6 @@ def run_fleet_experiment(
     clients: int = DEFAULT_CLIENTS,
     duration_s: float = DEFAULT_DURATION_S,
     epoch_s: float = DEFAULT_EPOCH_S,
-    shards: int = 1,
     trials: int = DEFAULT_TRIALS,
     seed: int = 2015,
     ramp_s: float | None = None,
@@ -123,7 +121,7 @@ def run_fleet_experiment(
     # CLI value is a usage error, not a permanently-failed fan-out.
     FleetConfig(
         pms=pms, vms=vms, clients=clients, duration_s=duration_s,
-        epoch_s=epoch_s, shards=shards, seed=seed, ramp_s=ramp_s,
+        epoch_s=epoch_s, seed=seed, ramp_s=ramp_s,
         max_migrations_per_epoch=max_migrations_per_epoch,
     )
     cells = [
@@ -133,7 +131,6 @@ def run_fleet_experiment(
             clients=clients,
             duration_s=duration_s,
             epoch_s=epoch_s,
-            shards=shards,
             strategy=strategy,
             seed=seed + trial,
             ramp_s=ramp_s,

@@ -279,16 +279,15 @@ def generate_experiments_md(
         "it to fail and to shrink to the committed known-minimal plan.",
         "",
         "The placement comparison also runs at datacenter scale: "
-        "`repro fleet` partitions 1000+ PMs across per-shard event "
-        "queues joined by epoch-barrier mailboxes, deploys 10^4+ VMs "
-        "under each strategy, and drives them with an open-loop "
+        "`repro fleet` runs 1000+ PMs on one event queue with a "
+        "placement coordinator at each epoch barrier, deploys 10^4+ "
+        "VMs under each strategy, and drives them with an open-loop "
         "population of 10^5+ emulated clients — VOU's overhead-blind "
         "packing overloads and churns migrations while VOA serves the "
         "full offered load. Cell summaries stream through the "
         "executor's incremental-consume mode (bounded memory at any "
-        "fleet size), and the artifacts are byte-identical at any "
-        "`--shards` value and for serial vs `--jobs` runs (README § "
-        "Fleet scale).",
+        "fleet size), and the artifacts are byte-identical for serial "
+        "vs `--jobs` runs (README § Fleet scale).",
         "",
     ]
     if provenance:

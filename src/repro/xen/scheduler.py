@@ -23,13 +23,10 @@ interchangeable implementations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.obs import runtime as _obs
-from repro.sim import fastpath as _fastpath
 
 #: Xen's default domain weight.
 DEFAULT_WEIGHT = 256
@@ -37,12 +34,6 @@ DEFAULT_WEIGHT = 256
 ACCOUNTING_PERIOD = 0.030
 #: Xen's time slice in seconds (10 ms, 3 per accounting period).
 TIME_SLICE = 0.010
-
-#: Client count at which the numpy kernels beat the scalar loops.  Below
-#: this, array construction dominates (one PM hosts a handful of VMs);
-#: above it (cluster-scale fills, many-VCPU credit runs) the vector path
-#: wins.  Both paths are bitwise-identical -- see the parity suite.
-VECTOR_MIN_N = 16
 
 
 def weighted_water_fill(
@@ -94,10 +85,7 @@ def weighted_water_fill(
         else demands[i]
         for i in range(n)
     ]
-    if n >= VECTOR_MIN_N and not _fastpath.slowpath_enabled():
-        granted = _water_fill_vector(limit, weights, capacity)
-    else:
-        granted = _water_fill_scalar(limit, weights, capacity)
+    granted = _water_fill_scalar(limit, weights, capacity)
     if _obs.installed() is not None:
         _obs.inc("repro_sched_water_fill_total")
         _obs.inc("repro_sched_water_fill_clients_total", n)
@@ -131,36 +119,6 @@ def _water_fill_scalar(
         else:
             break
     return granted
-
-
-def _water_fill_vector(
-    limit: Sequence[float], weights: Sequence[float], capacity: float
-) -> list[float]:
-    """Vectorized progressive filling, bitwise-equal to the scalar loop.
-
-    Parity notes: the weight sum is reduced with a Python left fold over
-    the active weights (``sum(list)``) because numpy's pairwise ``sum``
-    rounds differently for n >= 8; all remaining operations are
-    elementwise IEEE ops or order-insensitive ``min``, which match the
-    scalar loop bit for bit.
-    """
-    lim = np.asarray(limit, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    granted = np.zeros(len(limit), dtype=np.float64)
-    active = lim > 0.0
-    remaining = float(capacity)
-    while active.any() and remaining > 1e-12:
-        w_act = w[active]
-        wsum = sum(w_act.tolist())
-        next_sat = float(((lim[active] - granted[active]) / w_act).min())
-        fill = min(next_sat, remaining / wsum)
-        granted[active] += fill * w_act
-        remaining -= fill * wsum
-        if fill == next_sat:
-            active &= (lim - granted) > 1e-12
-        else:
-            break
-    return granted.tolist()
 
 
 @dataclass
@@ -232,13 +190,7 @@ class CreditScheduler:
         """Simulate one 30 ms accounting period."""
         if not self.vcpus:
             return
-        if (
-            len(self.vcpus) >= VECTOR_MIN_N
-            and not _fastpath.slowpath_enabled()
-        ):
-            self._top_up_vector()
-        else:
-            self._top_up_scalar()
+        self._top_up_scalar()
 
         # Each core is carved into slices; within a slice a core serves
         # the next runnable VCPU (UNDER first, round-robin) and, when it
@@ -283,23 +235,6 @@ class CreditScheduler:
             v.credits += ACCOUNTING_PERIOD * self.ncpus * v.weight / wsum
             # Xen clips accumulated credit to bound burstiness.
             v.credits = min(v.credits, ACCOUNTING_PERIOD * self.ncpus)
-
-    def _top_up_vector(self) -> None:
-        """Vectorized top-up, bitwise-equal to :meth:`_top_up_scalar`.
-
-        The weight sum is exact either way (integer weights); the
-        per-VCPU expression ``credits + period * ncpus * weight / wsum``
-        maps to the same left-to-right IEEE operation sequence
-        elementwise, and the burstiness clip becomes ``np.minimum``.
-        """
-        wsum = sum(v.weight for v in self.vcpus)
-        credits = np.array([v.credits for v in self.vcpus], dtype=np.float64)
-        weights = np.array([v.weight for v in self.vcpus], dtype=np.float64)
-        credits += ACCOUNTING_PERIOD * self.ncpus * weights / wsum
-        np.minimum(credits, ACCOUNTING_PERIOD * self.ncpus, out=credits)
-        for v, c in zip(self.vcpus, credits.tolist()):
-            v.consumed_this_period = 0.0
-            v.credits = c
 
     def _pick_next(self, exclude: list[VcpuState]) -> Optional[VcpuState]:
         order = self.vcpus[self._rr_cursor:] + self.vcpus[: self._rr_cursor]
