@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Kill-and-resume smoke: SIGKILL a checkpointed paper-scale run
 # mid-sweep, resume it, and require the final artifacts to be
-# byte-identical to an uninterrupted clean run.
+# byte-identical to an uninterrupted clean run.  Two legs: checkpoints
+# in the run directory's own store, and checkpoints in a shared
+# --cache-dir store (the run directory then holds only the ledger).
 #
 # Usage: bash scripts/kill_resume_smoke.sh   (from the repo root)
 #   KILL_AFTER=1.5   seconds before the SIGKILL lands (default 1.5;
@@ -14,34 +16,53 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 CLEAN="$WORK/clean"
-RESUMED="$WORK/resumed"
-RUN_DIR="$WORK/run"
 KILL_AFTER="${KILL_AFTER:-1.5}"
 
 echo "== clean run (uninterrupted baseline) =="
 python -m repro run fig5 --jobs 2 --out "$CLEAN" > "$WORK/clean.log" 2>&1
 
-echo "== interrupted run (SIGKILL after ${KILL_AFTER}s) =="
-set +e
-python -m repro run fig5 --jobs 2 --run-dir "$RUN_DIR" \
-    --out "$RESUMED" > "$WORK/killed.log" 2>&1 &
-PID=$!
-sleep "$KILL_AFTER"
-kill -9 "$PID" 2>/dev/null
-wait "$PID" 2>/dev/null
-set -e
+# kill_and_resume LEG [ARGS...]: SIGKILL a --run-dir run of fig5 (with
+# ARGS), resume it, and diff its artifacts against the clean run.
+kill_and_resume() {
+    local leg="$1"
+    shift
+    local run_dir="$WORK/run-$leg" out="$WORK/resumed-$leg"
 
-# On a fast machine the kill may land after completion; resume must
-# converge to the same artifacts either way.
-python -m repro runs status "$RUN_DIR"
+    echo "== [$leg] interrupted run (SIGKILL after ${KILL_AFTER}s) =="
+    set +e
+    python -m repro run fig5 --jobs 2 --run-dir "$run_dir" "$@" \
+        --out "$out" > "$WORK/killed-$leg.log" 2>&1 &
+    local pid=$!
+    sleep "$KILL_AFTER"
+    # The SIGKILLed CLI cannot shut its warm pool down: reap the
+    # orphaned workers too, so they do not outlive the smoke.
+    local workers
+    workers="$(pgrep -P "$pid")"
+    kill -9 "$pid" 2>/dev/null
+    [ -n "$workers" ] && kill -9 $workers 2>/dev/null
+    wait "$pid" 2>/dev/null
+    set -e
 
-echo "== resumed run =="
-python -m repro run fig5 --jobs 2 --resume "$RUN_DIR" \
-    --out "$RESUMED" > "$WORK/resume.log" 2>&1
-grep "run manifest:" "$WORK/resume.log"
+    # On a fast machine the kill may land after completion; resume must
+    # converge to the same artifacts either way.
+    python -m repro runs status "$run_dir"
 
-echo "== diff: resumed artifacts vs clean run =="
-diff -r "$CLEAN" "$RESUMED"
+    echo "== [$leg] resumed run =="
+    python -m repro run fig5 --jobs 2 --resume "$run_dir" "$@" \
+        --out "$out" > "$WORK/resume-$leg.log" 2>&1
+    grep "run manifest:" "$WORK/resume-$leg.log"
 
-python -m repro runs status "$RUN_DIR" | grep -q "state: *complete"
-echo "kill-and-resume smoke passed: artifacts byte-identical"
+    echo "== [$leg] diff: resumed artifacts vs clean run =="
+    diff -r "$CLEAN" "$out"
+
+    python -m repro runs status "$run_dir" | grep -q "state: *complete"
+}
+
+kill_and_resume run-dir
+kill_and_resume cache-dir --cache-dir "$WORK/cache"
+# With a shared store every checkpoint lives in the cache, written once.
+if [ -n "$(find "$WORK/run-cache-dir" -name '*.pkl')" ]; then
+    echo "error: checkpoints written outside the --cache-dir store" >&2
+    exit 1
+fi
+echo "kill-and-resume smoke passed: artifacts byte-identical (both legs)"

@@ -36,11 +36,6 @@ Subcommands
     Datacenter-scale VOA-vs-VOU experiment: every PM on one event queue,
     a placement coordinator at each epoch barrier, streaming per-cell
     aggregation; artifacts are byte-identical serial vs ``--jobs``.
-``repro bench [--fast] [--jobs N] [--chunk N] [--out FILE] [--compare BASELINE]``
-    Perf harness: run the fixed bench matrix serial / parallel / cold /
-    warm-cache and write a ``BENCH_<rev>.json`` record; ``--compare``
-    exits non-zero on a >20 % regression in ``events_per_sec`` or
-    ``parallel_speedup`` against a baseline record.
 ``repro obs summary|export|spans [--obs-dir DIR]``
     Inspect an observability directory written by ``--obs-dir``:
     ``summary`` prints per-source span/error/wall totals plus counter
@@ -52,17 +47,21 @@ Subcommands
 runtime determinism sanitizer (event tie-break assertions, per-stream
 RNG draw accounting, NaN guards on training inputs).  ``repro run``,
 ``repro all``, ``repro report`` and ``repro fleet`` accept ``--jobs N``
-(parallel cell
-execution over the warm process pool; 0 = all CPUs), ``--chunk N``
-(cells per worker task; 0 = cost-model default) and ``--cache-dir DIR``
-(content-addressed result cache) -- all preserve byte-identical
-output -- plus the
-crash-safety options: ``--run-dir DIR`` records a checkpointed run
-manifest, ``--resume DIR`` restores completed cells from one, and
-``--cell-deadline`` / ``--cell-attempts`` tune the supervisor.
+(parallel cell execution over the warm process pool; 0 = all CPUs),
+``--chunk N`` (cells per worker task; 0 = cost-model default) and
+``--cache-dir DIR`` (content-addressed result cache) -- all preserve
+byte-identical output -- plus the crash-safety options: ``--run-dir
+DIR`` records a checkpointed run manifest, ``--resume DIR`` restores
+completed cells from one, and ``--cell-deadline`` / ``--cell-attempts``
+tune the supervisor.  With both ``--run-dir`` and ``--cache-dir`` the
+run directory's checkpoints are the cache's entries, written once.
 ``--obs-dir DIR`` attaches the observability layer (metrics + spans)
 and exports it there after the run; without the flag nothing is
 recorded and output stays byte-identical.
+
+The benchmark of record is ``python3 perfbench/run.py`` (declared in
+``BENCHMARK.json``); it times the experiment functions that ``repro run
+fig8`` and ``repro fleet`` call, plus the prediction service.
 
 Exit codes for the experiment commands: 0 when everything succeeded
 (including cells that needed retries -- those print a warning
@@ -249,34 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the runtime determinism sanitizer",
     )
     _add_perf_options(fleet_p)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="perf harness: serial/parallel/cold/warm bench matrix, "
-        "writes BENCH_<rev>.json",
-    )
-    bench_p.add_argument(
-        "--fast", action="store_true",
-        help="reduced matrix for CI smoke runs",
-    )
-    bench_p.add_argument(
-        "--jobs", type=int, default=0,
-        help="workers for the parallel phase (0 = all CPUs, default)",
-    )
-    bench_p.add_argument(
-        "--chunk", type=int, default=None, metavar="N",
-        help="cells per worker task in the parallel phase (0 = "
-        "cost-model default)",
-    )
-    bench_p.add_argument(
-        "--out", type=Path, default=None,
-        help="output JSON path (default: BENCH_<rev>.json in the cwd)",
-    )
-    bench_p.add_argument(
-        "--compare", type=Path, default=None, metavar="BASELINE",
-        help="exit non-zero when events_per_sec or parallel_speedup "
-        "regresses more than 20%% against this baseline BENCH json",
-    )
 
     validate_p = sub.add_parser(
         "validate",
@@ -592,7 +563,7 @@ def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
         and getattr(args, "cell_attempts", None) is None
     ):
         # Only the experiment commands fan out through the executor;
-        # bench manages its own phases and cache has its own dispatch.
+        # cache and runs have their own dispatch.
         return _dispatch(args)
     from repro.perf.cache import ResultCache
     from repro.perf.executor import execution_defaults
@@ -611,7 +582,7 @@ def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     manifest = None
     if run_dir is not None:
-        manifest = RunManifest(run_dir)
+        manifest = RunManifest(run_dir, store=cache)
         manifest.open_run(raw_argv, resumed=resume_dir is not None)
         args._manifest = manifest
     collector = None
@@ -726,8 +697,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _obs_cmd(args)
     if args.command == "runs":
         return _runs(args)
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "fleet":
         return _fleet(args)
     assert args.command == "all"
@@ -1016,57 +985,6 @@ def _obs_cmd(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    return 0
-
-
-def _bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf.bench import (
-        compare_bench,
-        default_output_path,
-        run_bench,
-        write_bench,
-    )
-
-    baseline = None
-    if args.compare is not None:
-        try:
-            baseline = json.loads(args.compare.read_text())
-        except (OSError, ValueError) as exc:
-            print(
-                f"error: cannot read baseline {args.compare}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    record = run_bench(fast=args.fast, jobs=args.jobs, chunk=args.chunk)
-    out = args.out if args.out is not None else default_output_path()
-    write_bench(record, out)
-    metrics = record["metrics"]
-    print(f"wrote {out}")
-    for key in (
-        "events_per_sec",
-        "cells_per_sec",
-        "parallel_speedup",
-        "cache_warm_speedup",
-        "cache_hit_rate",
-    ):
-        print(f"  {key:<20} {metrics[key]:.3f}")
-    if baseline is not None:
-        problems = compare_bench(record, baseline)
-        if problems:
-            for problem in problems:
-                print(f"bench regression: {problem}", file=sys.stderr)
-            print(
-                f"bench: regression against {args.compare} "
-                f"(baseline rev {baseline.get('revision', '?')})",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"bench: no regression against {args.compare} "
-            f"(baseline rev {baseline.get('revision', '?')})"
-        )
     return 0
 
 

@@ -224,17 +224,18 @@ def generate_experiments_md(
         "fast path only skips provably redundant work, so every figure "
         "is byte-for-byte identical to the scalar reference path "
         "(`REPRO_SIM_SLOWPATH=1`), which CI re-proves on every push. "
-        "`repro bench` records the perf trajectory (`BENCH_<rev>."
-        "json`: events/sec, parallel speedup, cache hit rate) and "
-        "`repro bench --compare` gates regressions; wall-clock numbers "
-        "are machine-dependent, so only ratios are comparable across "
-        "hosts.",
+        "The benchmark of record is `python3 perfbench/run.py` "
+        "(workloads and bounds in `BENCHMARK.json`): it times the real "
+        "commands end to end and checks their output digests and "
+        "deterministic work counters exactly; wall-clock numbers are "
+        "machine-dependent, so only ratios are comparable across hosts.",
         "",
         "Runs are crash-safe: `--run-dir` checkpoints every completed "
-        "cell behind checksummed artifacts and `--resume` (or `repro "
-        "runs resume`) re-executes only what is missing — a resumed "
-        "report is byte-identical to an uninterrupted one (README § "
-        "Crash safety & resume).",
+        "cell behind checksummed artifacts (in the `--cache-dir` cache "
+        "when one is given, so each cell is written once) and `--resume` "
+        "(or `repro runs resume`) re-executes only what is missing — a "
+        "resumed report is byte-identical to an uninterrupted one "
+        "(README § Crash safety & resume).",
         "",
         "Adding `--obs-dir DIR` records harness observability (metrics "
         "+ spans) alongside any run without changing a single output "

@@ -45,8 +45,7 @@ class LintConfig:
     #: Files whose ``# repro: noqa`` comments must name codes and carry
     #: a justification (REP011) -- the sanctioned wall-clock funnels.
     noqa_justify: Tuple[str, ...] = (
-        "repro/perf/profiler.py", "repro/perf/supervisor.py",
-        "repro/obs/runtime.py",
+        "repro/perf/supervisor.py", "repro/obs/runtime.py",
     )
     #: Declared RNG stream manifest (REP102): ``(pattern, owners)``
     #: pairs loaded from ``[tool.repro.lint.streams]``.  Exact names or

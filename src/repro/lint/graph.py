@@ -132,7 +132,7 @@ class SchemaUse:
     line: int
     col: int
     #: Constant name when this occurrence *defines* a module-level
-    #: constant (``CHECKPOINT_SCHEMA = "repro.perf.checkpoint/v1"``).
+    #: constant (``CACHE_SCHEMA = "repro.perf.cell-outcome/v1"``).
     const_def: Optional[str] = None
 
     @property

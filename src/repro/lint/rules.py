@@ -621,7 +621,7 @@ class JustifiedNoqa(Rule):
     """REP011: suppressions in audited files must be narrow and justified.
 
     The files in ``noqa-justify`` are the sanctioned funnels through
-    which real time enters the tree (the profiler's ``wall_now``, the
+    which real time enters the tree (``repro.obs.runtime.wall_now``, the
     supervisor's deadline clock).  Every ``# repro: noqa`` there must
     name the code(s) it suppresses and say *why* after the bracket, so
     each exemption stays an auditable one-liner instead of a blanket

@@ -20,8 +20,8 @@ Three layers:
 
 :mod:`repro.obs.runtime` owns the process-wide collector plus the cheap
 ``inc`` / ``set_gauge`` / ``observe`` / ``span`` helpers components
-call; it is the only module here allowed to read the wall clock
-(REP011-audited funnel, like :func:`repro.perf.profiler.wall_now`).
+call; it is the only module here allowed to read the wall clock,
+through the REP011-audited funnel :func:`repro.obs.runtime.wall_now`.
 """
 
 from repro.obs.export import (

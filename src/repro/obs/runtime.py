@@ -13,9 +13,10 @@ its own scoped collector around each cell, snapshots it into the
 outcome, and the parent merges the snapshot -- so ``--jobs N`` runs
 report the same metrics a serial run would.
 
-This module is the sole sanctioned wall-clock reader of the package:
-:func:`wall_now` is the REP011-audited funnel every span stamp flows
-through, the same precedent as :func:`repro.perf.profiler.wall_now`.
+This module is the package's sanctioned wall-clock reader for
+diagnostics: :func:`wall_now` is the REP011-audited funnel every span
+stamp flows through (the supervisor's deadline clock follows the same
+precedent).
 Observability never touches a random stream and never schedules an
 event, so enabling it cannot change what a run computes.
 """

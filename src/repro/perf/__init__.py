@@ -1,4 +1,4 @@
-"""Performance layer: parallel cell execution, result caching, profiling.
+"""Performance layer: parallel cell execution, result caching, crash safety.
 
 Three cooperating parts, all resting on the determinism contract the
 lint and sanitizer layers enforce (a cell's output is a pure function
@@ -12,18 +12,17 @@ of code, configuration and seed):
 * :mod:`repro.perf.cache` -- a content-addressed on-disk cache keyed by
   (cell config, code fingerprint); warm re-runs are I/O-bound
   (``repro run --cache-dir D``, ``repro cache stats|clear``);
-* :mod:`repro.perf.profiler` / :mod:`repro.perf.bench` -- per-phase
-  wall-time and event-rate instrumentation plus the ``repro bench``
-  harness emitting ``BENCH_<rev>.json`` perf-trajectory records;
 * :mod:`repro.perf.supervisor` / :mod:`repro.perf.manifest` /
   :mod:`repro.perf.integrity` -- crash-safe execution: supervised
   fan-out (deadlines, bounded retries, serial degradation), run
   manifests with checkpoint/resume (``--run-dir`` / ``--resume``,
-  ``repro runs status|resume|gc``), and checksummed artifact storage
-  shared by the cache and the checkpoints.
+  ``repro runs status|resume|gc``), and checksummed artifact storage.
+  A run directory is a ledger over a :class:`~repro.perf.cache.ResultCache`,
+  so the cache is the one store of every checkpointed cell.
+
+The benchmark of record lives outside the package, in ``perfbench/``.
 """
 
-from repro.perf.bench import BENCH_SCHEMA, bench_cells, run_bench, write_bench
 from repro.perf.cache import (
     CacheStats,
     ResultCache,
@@ -61,13 +60,6 @@ from repro.perf.integrity import (
     write_artifact,
 )
 from repro.perf.manifest import RunManifest, RunStatus
-from repro.perf.profiler import (
-    PhaseStats,
-    Profiler,
-    default_profiler,
-    profiled,
-    set_default_profiler,
-)
 from repro.perf.supervisor import (
     CellExecutionError,
     SupervisionStats,
@@ -77,23 +69,19 @@ from repro.perf.supervisor import (
 
 __all__ = [
     "ArtifactIntegrityWarning",
-    "BENCH_SCHEMA",
     "CacheStats",
     "Cell",
     "CellExecutionError",
     "CellOutcome",
     "IntegrityError",
     "MicrobenchCell",
-    "PhaseStats",
     "PredictionCell",
-    "Profiler",
     "ResultCache",
     "RunManifest",
     "RunStatus",
     "ScenarioTrialCell",
     "SupervisionStats",
     "SupervisorConfig",
-    "bench_cells",
     "canonical_json",
     "cell_key",
     "code_fingerprint",
@@ -101,20 +89,16 @@ __all__ = [
     "default_cache",
     "default_jobs",
     "default_manifest",
-    "default_profiler",
     "default_resume",
     "default_supervisor",
     "execution_defaults",
-    "profiled",
     "read_artifact",
     "resolve_jobs",
-    "run_bench",
     "run_cells",
     "run_supervised",
     "set_default_cache",
     "set_default_jobs",
     "set_default_manifest",
-    "set_default_profiler",
     "set_default_resume",
     "set_default_supervisor",
     "write_artifact",

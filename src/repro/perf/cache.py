@@ -20,6 +20,12 @@ carries a checksummed, schema-tagged header verified on every read, so
 a truncated or corrupted entry is evicted as a miss (with an
 :class:`~repro.perf.integrity.ArtifactIntegrityWarning`) instead of
 poisoning a run or crashing it.
+
+This is the one store of :class:`~repro.perf.executor.CellOutcome`
+files.  A run directory (:mod:`repro.perf.manifest`) keeps its
+checkpoints in a cache of its own at ``<run-dir>/cells`` -- or in the
+``--cache-dir`` cache when one is given, so a completed cell is written
+once -- and adds only the ledger on top.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import shutil
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Container, Iterable, Optional, Tuple
 
 from repro.perf import integrity
 from repro.perf.cells import Cell
@@ -79,8 +85,8 @@ def canonical_json(obj: Any) -> str:
 def cell_key(cell: Cell, fingerprint: str) -> str:
     """Content address of one cell under one code fingerprint.
 
-    Shared by the result cache and the run manifest so a checkpoint and
-    a cache entry of the same cell always agree on identity.
+    The run manifest's ledger records cells under the same key as the
+    cache that stores them.
     """
     material = canonical_json(
         {"config": cell.config(), "code": fingerprint}
@@ -203,23 +209,31 @@ class ResultCache:
         """Content address of one cell under the current code."""
         return cell_key(cell, self.fingerprint)
 
-    def _path(self, cell: Cell) -> Path:
+    def path(self, cell: Cell) -> Path:
+        """The file that holds (or would hold) ``cell``'s outcome."""
         return self._dir / f"{self.key(cell)}.pkl"
 
     # -- storage ---------------------------------------------------------
 
-    def get(self, cell: Cell) -> Optional[Any]:
+    def get(
+        self, cell: Cell, *, digest: Optional[str] = None
+    ) -> Optional[Any]:
         """The stored outcome for ``cell``, or ``None`` on a miss.
 
         Entries are verified through the integrity guard: an
         unreadable, truncated, checksum-mismatched or wrong-schema file
         counts as a miss, is evicted, and raises nothing -- the caller
         recomputes and overwrites it.  A missing entry is a plain miss
-        (no warning).
+        (no warning).  ``digest`` is the whole-file digest :meth:`put`
+        returned (a run ledger records it); a file that is internally
+        consistent but differs from it -- a swapped entry -- is evicted
+        the same way.
         """
-        path = self._path(cell)
+        path = self.path(cell)
         try:
-            outcome = integrity.read_artifact(path, schema=CACHE_SCHEMA)
+            outcome = integrity.read_artifact(
+                path, schema=CACHE_SCHEMA, digest=digest
+            )
         except integrity.IntegrityError as exc:
             self.misses += 1
             if exc.reason != "missing":
@@ -229,9 +243,11 @@ class ResultCache:
         self.hits += 1
         return outcome
 
-    def put(self, cell: Cell, outcome: Any) -> None:
-        """Store one outcome atomically under an integrity header."""
-        integrity.write_artifact(self._path(cell), outcome, schema=CACHE_SCHEMA)
+    def put(self, cell: Cell, outcome: Any) -> str:
+        """Store one outcome atomically; return the whole-file digest."""
+        path = self.path(cell)
+        integrity.write_artifact(path, outcome, schema=CACHE_SCHEMA)
+        return integrity.file_digest(path)
 
     # -- maintenance -----------------------------------------------------
 
@@ -244,12 +260,28 @@ class ResultCache:
             if p.is_dir() and p.name != self.generation
         )
 
-    def evict_stale(self) -> int:
-        """Delete entries written by older code; return directories removed."""
-        stale = self._stale_generations()
-        for path in stale:
-            shutil.rmtree(path, ignore_errors=True)
-        return len(stale)
+    def evict_stale(self) -> Tuple[int, int]:
+        """Delete older code's entries; return ``(entries, bytes)`` removed."""
+        entries = size = 0
+        for generation in self._stale_generations():
+            removed, nbytes = _remove(sorted(generation.glob("*.pkl")))
+            entries += removed
+            size += nbytes
+            shutil.rmtree(generation, ignore_errors=True)
+        return entries, size
+
+    def evict_except(self, keys: Container[str]) -> Tuple[int, int]:
+        """Delete current entries whose key is not in ``keys``.
+
+        Returns ``(entries, bytes)`` removed.  A run directory's gc uses
+        this to drop checkpoints its ledger does not reference.
+        """
+        if not self._dir.is_dir():
+            return 0, 0
+        return _remove(
+            path for path in sorted(self._dir.glob("*.pkl"))
+            if path.stem not in keys
+        )
 
     def clear(self) -> int:
         """Delete every entry of every generation; return entries removed."""
@@ -283,3 +315,22 @@ class ResultCache:
             hits=persisted_hits + self.hits,
             misses=persisted_misses + self.misses,
         )
+
+
+def _remove(paths: Iterable[Path]) -> Tuple[int, int]:
+    """Unlink ``paths``; return ``(files, bytes)`` this call removed.
+
+    A concurrent resume/gc may remove a file between the directory
+    listing and this sweep: stat defensively and count only the files
+    this call actually removed.
+    """
+    files = size = 0
+    for path in paths:
+        try:
+            nbytes = path.stat().st_size
+            path.unlink()
+        except FileNotFoundError:
+            continue
+        files += 1
+        size += nbytes
+    return files, size

@@ -49,7 +49,6 @@ from repro.perf import pool as warmpool
 from repro.perf.cache import ResultCache
 from repro.perf.cells import Cell
 from repro.perf.manifest import RunManifest
-from repro.perf.profiler import default_profiler
 from repro.perf.supervisor import (
     CellExecutionError,
     SupervisorConfig,
@@ -106,7 +105,7 @@ def resolve_chunk(chunk: Optional[int], n_cells: int, jobs: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Process-wide execution defaults (wired up by the CLI and bench harness).
+# Process-wide execution defaults (wired up by the CLI).
 # --------------------------------------------------------------------------
 
 _default_jobs = 1
@@ -383,7 +382,8 @@ def run_cells(
         Optional :class:`ResultCache`; ``None`` uses the process-wide
         default (``--cache-dir``), which may itself be absent.
     phase:
-        Profiler phase name; defaults to the first cell's ``group``.
+        Label of the executor's obs counters and span; defaults to the
+        first cell's ``group``.
     manifest:
         Optional :class:`~repro.perf.manifest.RunManifest`; ``None``
         uses the process-wide default (``--run-dir``).  When set, every
@@ -427,7 +427,6 @@ def run_cells(
     if resume is None:
         resume = default_resume()
     config = supervisor or default_supervisor()
-    profiler = default_profiler()
     phase_name = phase or cells[0].group
 
     context = (sanitize.default_enabled(), obs.default_enabled())
@@ -438,8 +437,6 @@ def run_cells(
         warmpool.prestart(jobs, context)
 
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    #: Running totals survive slot release in incremental-consume mode.
-    events_total = 0
     hits = 0
     if manifest is not None:
         manifest.plan(cells)
@@ -448,7 +445,6 @@ def run_cells(
                 restored = manifest.load(cell)
                 if restored is not None:
                     outcomes[i] = restored
-                    events_total += restored.events
                     _merge_accounting(restored)
                     _merge_obs(restored)
     if cache is not None:
@@ -458,7 +454,6 @@ def run_cells(
             cached = cache.get(cell)
             if cached is not None:
                 outcomes[i] = cached
-                events_total += cached.events
                 _merge_accounting(cached)
                 _merge_obs(cached)
                 hits += 1
@@ -487,20 +482,20 @@ def run_cells(
             consumed_through += 1
 
     def complete(i: int, outcome: CellOutcome, from_pool: bool) -> None:
-        nonlocal events_total
         outcomes[i] = outcome
-        events_total += outcome.events
         if from_pool:
             _merge_accounting(outcome)
         _merge_obs(outcome)
-        if cache is not None:
-            cache.put(cells[i], outcome)
         if manifest is not None:
             # The supervisor charges the attempt before running it, so
             # the live count already includes the one that succeeded.
             manifest.record_done(
                 cells[i], outcome, attempts=attempts.get(i, 0) or 1
             )
+        if cache is not None and (
+            manifest is None or manifest.store is not cache
+        ):
+            cache.put(cells[i], outcome)
         if consume is not None:
             drain()
 
@@ -508,12 +503,8 @@ def run_cells(
         # Cache/checkpoint hits may already form a consumable prefix.
         drain()
 
-    timer = (
-        profiler.phase(phase_name) if profiler is not None
-        else _null_context()
-    )
     use_pool = jobs > 1 and len(missing) > 1
-    with timer, obs.span(
+    with obs.span(
         "executor.run_cells", "executor",
         phase=phase_name, cells=len(cells), missing=len(missing),
     ):
@@ -540,14 +531,6 @@ def run_cells(
             manifest.record_failed(
                 cell, attempts=attempts.get(i, 0), error=error
             )
-    if profiler is not None:
-        profiler.record(
-            phase_name,
-            cells=len(cells),
-            events=events_total,
-            cache_hits=hits,
-            cache_misses=len(missing) if cache is not None else 0,
-        )
     if failures:
         raise CellExecutionError(
             [(cell.label(), error) for _, cell, error in failures]
@@ -555,8 +538,3 @@ def run_cells(
     if consume is not None:
         return []
     return [o.value for o in outcomes]  # type: ignore[union-attr]
-
-
-@contextmanager
-def _null_context() -> Iterator[None]:
-    yield

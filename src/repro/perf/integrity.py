@@ -1,18 +1,19 @@
 """Artifact integrity guard: checksummed, schema-tagged result files.
 
 Every on-disk artifact the perf layer persists -- cached cell outcomes,
-run-manifest checkpoints -- is written through :func:`write_artifact`,
-which prefixes the pickled payload with a one-line JSON header carrying
-a format tag, a schema string, the payload length and its SHA-256.
+which double as run-manifest checkpoints -- is written through
+:func:`write_artifact`, which prefixes the pickled payload with a
+one-line JSON header carrying a format tag, a schema string, the
+payload length and its SHA-256.
 :func:`read_artifact` verifies all four before unpickling, so a
 truncated write (SIGKILL mid-``os.replace``), a flipped bit, or a file
 from an incompatible layout version surfaces as a structured
 :class:`IntegrityError` -- never as a bogus result silently folded into
 a report.
 
-Callers that can recompute (the cache, the manifest) catch the error,
-evict the artifact and emit an :class:`ArtifactIntegrityWarning`; the
-run proceeds as if the entry never existed.
+Callers that can recompute (the result cache) catch the error, evict
+the artifact and emit an :class:`ArtifactIntegrityWarning`; the run
+proceeds as if the entry never existed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import pickle
 import warnings
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
 #: Format tag of the artifact container itself (not the payload schema).
 ARTIFACT_FORMAT = "repro-artifact"
@@ -99,8 +100,14 @@ def write_artifact(path: Path | str, obj: Any, *, schema: str) -> str:
     return digest
 
 
-def read_artifact(path: Path | str, *, schema: str) -> Any:
-    """Load and verify one artifact; raise :class:`IntegrityError` if bad."""
+def read_artifact(
+    path: Path | str, *, schema: str, digest: Optional[str] = None
+) -> Any:
+    """Load and verify one artifact; raise :class:`IntegrityError` if bad.
+
+    ``digest``, when given, is the expected :func:`file_digest` of the
+    whole file; a mismatch is a ``"checksum-mismatch"``.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -108,6 +115,11 @@ def read_artifact(path: Path | str, *, schema: str) -> Any:
         raise IntegrityError(path, "missing") from None
     except OSError as exc:
         raise IntegrityError(path, "unreadable", str(exc)) from None
+    if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
+        raise IntegrityError(
+            path, "checksum-mismatch",
+            "whole-file digest differs from the recorded one",
+        )
     head, sep, payload = raw.partition(b"\n")
     if not sep:
         raise IntegrityError(path, "not-an-artifact", "no header line")

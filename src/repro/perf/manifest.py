@@ -7,19 +7,22 @@ run crash-safe.  It holds
   invocation (code fingerprint, the CLI command, whether it resumed),
   one ``plan`` record per cell the run intends to execute, and one
   ``done``/``failed`` record per completed attempt sequence; and
-* ``cells/<key>.pkl`` -- one integrity-guarded checkpoint per completed
-  cell (the full :class:`~repro.perf.executor.CellOutcome`, sanitizer
-  accounting included).
+* ``cells/`` -- a :class:`~repro.perf.cache.ResultCache` holding one
+  checkpoint per completed cell at ``cells/<fingerprint[:16]>/<key>.pkl``
+  (the full :class:`~repro.perf.executor.CellOutcome`, sanitizer
+  accounting included).  When the run also has a ``--cache-dir``, that
+  cache is the store instead and ``cells/`` stays empty, so each
+  completed cell is written once.
 
 Because the ledger is append-only and every checkpoint write is atomic,
 a SIGKILL at any instant leaves the directory readable: the loader
 ignores a truncated final line, and a resumed run
 (``--resume DIR`` / ``repro runs resume DIR``) re-executes exactly the
 cells without a verified checkpoint.  Checkpoints are verified twice on
-load -- the integrity header inside the file and the whole-file digest
-recorded in the ``done`` ledger record -- so a corrupt or swapped
-checkpoint demotes the cell to pending (with a structured warning)
-instead of poisoning the resumed report.
+load -- the store's integrity header inside the file and the whole-file
+digest recorded in the ``done`` ledger record -- so a corrupt or
+swapped checkpoint is evicted and its cell demoted to pending (with a
+structured warning) instead of poisoning the resumed report.
 
 Cell identity is :func:`repro.perf.cache.cell_key`: a SHA-256 over the
 cell's canonical configuration plus the code fingerprint.  A resumed
@@ -34,16 +37,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.perf import integrity
-from repro.perf.cache import cell_key, code_fingerprint
+from repro.perf.cache import ResultCache
 from repro.perf.cells import Cell
 
 #: Ledger file name inside a run directory.
 MANIFEST_NAME = "manifest.jsonl"
-#: Checkpoint subdirectory inside a run directory.
+#: Directory of the run directory's own checkpoint store.
 CELLS_DIR = "cells"
-#: Payload schema of checkpointed cell outcomes.
-CHECKPOINT_SCHEMA = "repro.perf.checkpoint/v1"
 
 #: Cell states derived from the ledger (latest record wins).
 STATUS_PENDING = "pending"
@@ -126,23 +126,36 @@ class RunStatus:
 
 
 class RunManifest:
-    """One run directory: ledger append/load plus checkpoint storage."""
+    """One run directory: an append-only ledger over a result store.
+
+    ``store`` holds the checkpoints; ``None`` opens the run directory's
+    own :class:`~repro.perf.cache.ResultCache` at ``<root>/cells``
+    (stale generations are kept until :meth:`gc`).  ``fingerprint``
+    overrides the code fingerprint of that own store.
+    """
 
     def __init__(
-        self, root: Path | str, *, fingerprint: Optional[str] = None
+        self,
+        root: Path | str,
+        *,
+        fingerprint: Optional[str] = None,
+        store: Optional[ResultCache] = None,
     ) -> None:
         self.root = Path(root)
-        self.fingerprint = fingerprint or code_fingerprint()
+        if store is None:
+            store = ResultCache(
+                self.root / CELLS_DIR, fingerprint=fingerprint,
+                evict_stale=False,
+            )
+        self.store = store
+        self.fingerprint = store.fingerprint
         self.path = self.root / MANIFEST_NAME
-        self.cells_dir = self.root / CELLS_DIR
-        #: Keys already planned (loaded from the ledger, kept in sync).
-        self._planned: Dict[str, CellRecord] = {}
         #: Cells restored from checkpoints this session (provenance).
         self.restored = 0
         #: Cells executed (not restored) this session.
         self.executed = 0
-        status = self.status()
-        self._planned = status.cells
+        #: Keys already planned (loaded from the ledger, kept in sync).
+        self._planned: Dict[str, CellRecord] = self.status().cells
 
     # -- ledger ----------------------------------------------------------
 
@@ -164,7 +177,7 @@ class RunManifest:
         )
 
     def key(self, cell: Cell) -> str:
-        return cell_key(cell, self.fingerprint)
+        return self.store.key(cell)
 
     def plan(self, cells: Sequence[Cell]) -> None:
         """Append ``plan`` records for cells not yet in the ledger."""
@@ -184,84 +197,48 @@ class RunManifest:
                 key=key, label=cell.label(), group=cell.group
             )
 
-    def _checkpoint_path(self, key: str) -> Path:
-        return self.cells_dir / f"{key}.pkl"
-
-    def record_done(self, cell: Cell, outcome: Any, *, attempts: int) -> None:
-        """Checkpoint one completed cell and append its ``done`` record."""
+    def _settle(
+        self, cell: Cell, status: str, *, attempts: int, **fields: str
+    ) -> None:
+        """Append one ``done``/``failed`` record and mirror it in memory."""
         key = self.key(cell)
-        path = self._checkpoint_path(key)
-        integrity.write_artifact(path, outcome, schema=CHECKPOINT_SCHEMA)
-        digest = integrity.file_digest(path)
         self._append(
-            {
-                "type": STATUS_DONE,
-                "key": key,
-                "digest": digest,
-                "attempts": attempts,
-            }
+            {"type": status, "key": key, "attempts": attempts, **fields}
         )
         rec = self._planned.setdefault(
             key, CellRecord(key=key, label=cell.label(), group=cell.group)
         )
-        rec.status = STATUS_DONE
+        rec.status = status
         rec.attempts = attempts
-        rec.digest = digest
+        rec.digest = fields.get("digest")
+        rec.error = fields.get("error", "")
+
+    def record_done(self, cell: Cell, outcome: Any, *, attempts: int) -> None:
+        """Checkpoint one completed cell and append its ``done`` record."""
+        digest = self.store.put(cell, outcome)
+        self._settle(cell, STATUS_DONE, attempts=attempts, digest=digest)
         self.executed += 1
 
     def record_failed(self, cell: Cell, *, attempts: int, error: str) -> None:
         """Append a ``failed`` record for one permanently failed cell."""
-        key = self.key(cell)
-        self._append(
-            {
-                "type": STATUS_FAILED,
-                "key": key,
-                "attempts": attempts,
-                "error": error,
-            }
-        )
-        rec = self._planned.setdefault(
-            key, CellRecord(key=key, label=cell.label(), group=cell.group)
-        )
-        rec.status = STATUS_FAILED
-        rec.attempts = attempts
-        rec.error = error
+        self._settle(cell, STATUS_FAILED, attempts=attempts, error=error)
 
     # -- resume ----------------------------------------------------------
 
     def load(self, cell: Cell) -> Optional[Any]:
         """A verified checkpointed outcome for ``cell``, else ``None``.
 
-        Returns ``None`` for cells without a ``done`` record, and --
-        with a structured warning -- for checkpoints that fail either
-        the whole-file digest recorded in the ledger or the integrity
-        header inside the file.  Either way the caller re-executes.
+        Returns ``None`` for cells without a ``done`` record, and for
+        checkpoints the store rejects: a missing file silently, and --
+        with a structured warning, after evicting the file -- one that
+        fails the whole-file digest recorded in the ledger or the
+        integrity header inside it.  Either way the caller re-executes.
         """
         rec = self._planned.get(self.key(cell))
         if rec is None or rec.status != STATUS_DONE:
             return None
-        path = self._checkpoint_path(rec.key)
-        try:
-            if rec.digest is not None:
-                found = integrity.file_digest(path)
-                if found != rec.digest:
-                    raise integrity.IntegrityError(
-                        path,
-                        "checksum-mismatch",
-                        "checkpoint digest does not match the manifest",
-                    )
-            outcome = integrity.read_artifact(path, schema=CHECKPOINT_SCHEMA)
-        except FileNotFoundError:
-            rec.status = STATUS_PENDING
-            return None
-        except OSError as exc:
-            err = integrity.IntegrityError(path, "unreadable", str(exc))
-            integrity.warn_corrupt(err, action="re-executing cell")
-            rec.status = STATUS_PENDING
-            return None
-        except integrity.IntegrityError as exc:
-            if exc.reason != "missing":
-                integrity.warn_corrupt(exc, action="re-executing cell")
+        outcome = self.store.get(cell, digest=rec.digest)
+        if outcome is None:
             rec.status = STATUS_PENDING
             return None
         self.restored += 1
@@ -329,54 +306,22 @@ class RunManifest:
     def gc(self) -> Dict[str, int]:
         """Drop unusable checkpoints; return removal counters.
 
-        Removes (a) orphaned checkpoint files no ``done`` record
-        references and (b) every checkpoint when the ledger was written
-        by a different code fingerprint (its keys can never match
-        again).  The ledger itself is never rewritten.
+        Removes (a) every checkpoint written under another code
+        fingerprint -- the store keeps one generation directory per
+        fingerprint, and those keys can never match again -- and (b)
+        orphaned checkpoints of the current generation that no ``done``
+        record references.  The ledger itself is never rewritten.
+        ``repro runs gc`` sweeps the run directory's own store; a
+        shared ``--cache-dir`` is managed by ``repro cache``.
         """
-        removed = {"orphaned": 0, "stale": 0, "bytes": 0}
-        if not self.cells_dir.is_dir():
-            return removed
-        status = self.status()
-        recorded_fp: Optional[str] = None
-        if status.runs:
-            # The ledger's own fingerprint: re-read the last run record.
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict) and record.get("type") == "run":
-                    recorded_fp = record.get("fingerprint")
-        stale_run = recorded_fp is not None and recorded_fp != self.fingerprint
-        done_keys = {
-            rec.key for rec in status.cells.values()
+        done = {
+            rec.key for rec in self.status().cells.values()
             if rec.status == STATUS_DONE
         }
-        for path in sorted(self.cells_dir.glob("*.pkl")):
-            key = path.stem
-            if stale_run:
-                kind = "stale"
-            elif key not in done_keys:
-                kind = "orphaned"
-            else:
-                continue
-            # A concurrent resume/gc may remove the file between the
-            # directory listing and this sweep: stat defensively and
-            # count bytes only for files this call actually removed.
-            try:
-                size = path.stat().st_size
-                path.unlink()
-            except FileNotFoundError:
-                continue
-            removed["bytes"] += size
-            removed[kind] += 1
-        return removed
-
-
-#: Fleet-facing alias: a fleet sweep's manifest is a regular run
-#: manifest whose checkpoints are *streamed* back out -- ``run_cells``'
-#: incremental-consume mode restores, consumes and releases each
-#: checkpointed ``CellOutcome`` in cell order instead of holding the
-#: whole sweep in memory.
-ClusterManifest = RunManifest
+        stale, stale_bytes = self.store.evict_stale()
+        orphaned, orphaned_bytes = self.store.evict_except(done)
+        return {
+            "orphaned": orphaned,
+            "stale": stale,
+            "bytes": stale_bytes + orphaned_bytes,
+        }

@@ -38,7 +38,7 @@ failure costs the whole run.
 Wall-clock reads (deadline arithmetic, backoff sleeps) are confined to
 the two funnel helpers below, each carrying a justified
 ``noqa[REP002]`` -- the same precedent as
-:func:`repro.perf.profiler.wall_now`, and enforced by the REP011 lint
+:func:`repro.obs.runtime.wall_now`, and enforced by the REP011 lint
 rule for this file.
 """
 

@@ -65,7 +65,7 @@ class TestRoundTrip:
         cell = _cell()
         cache = ResultCache(tmp_path)
         (good,) = run_cells([cell], cache=cache)
-        path = cache._path(cell)
+        path = cache.path(cell)
         path.write_bytes(b"not a pickle")
         fresh = ResultCache(tmp_path)
         with pytest.warns(ArtifactIntegrityWarning):
@@ -77,7 +77,7 @@ class TestRoundTrip:
         cell = _cell()
         cache = ResultCache(tmp_path)
         cache.put(cell, CellOutcome(value=1.0))
-        path = cache._path(cell)
+        path = cache.path(cell)
         path.write_bytes(path.read_bytes()[:-5])
         fresh = ResultCache(tmp_path)
         with pytest.warns(ArtifactIntegrityWarning, match="truncated"):
@@ -94,7 +94,7 @@ class TestRoundTrip:
         cell = _cell()
         cache = ResultCache(tmp_path)
         integrity.write_artifact(
-            cache._path(cell), CellOutcome(value=1.0),
+            cache.path(cell), CellOutcome(value=1.0),
             schema="repro.other/v99",
         )
         with pytest.warns(ArtifactIntegrityWarning, match="schema"):

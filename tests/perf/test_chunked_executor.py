@@ -3,8 +3,8 @@
 ``--chunk N`` batches cells into pool tasks and the warm pool keeps
 workers alive across sweep phases; neither is allowed to change a
 single output byte.  These tests pin the chunk cost model, double-run
-byte-identity under chunked parallel execution, warm-pool reuse /
-rebuild / discard semantics, and the bench regression comparator.
+byte-identity under chunked parallel execution, and warm-pool reuse /
+rebuild / discard semantics.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 
 from repro.experiments import runner
 from repro.perf import pool as warmpool
-from repro.perf.bench import REGRESSION_TOLERANCE, compare_bench
 from repro.perf.cells import MicrobenchCell
 from repro.perf.executor import (
     default_chunk,
@@ -22,7 +21,6 @@ from repro.perf.executor import (
     run_cells,
     set_default_chunk,
 )
-from repro.perf.profiler import PhaseStats
 from repro.sim import sanitize
 
 
@@ -154,69 +152,3 @@ class TestWarmPool:
     def test_prestart_is_best_effort_and_reuses(self):
         pool = warmpool.prestart(2, (False, False))
         assert warmpool.get_pool(2, (False, False)) is pool
-
-
-class TestBenchCompare:
-    BASE = {
-        "revision": "deadbeef",
-        "metrics": {"events_per_sec": 30000.0, "parallel_speedup": 1.6},
-    }
-
-    @staticmethod
-    def _record(eps, speedup):
-        return {"metrics": {"events_per_sec": eps, "parallel_speedup": speedup}}
-
-    def test_no_regression_within_tolerance(self):
-        record = self._record(30000.0 * 0.85, 1.6 * 0.85)
-        assert compare_bench(record, self.BASE) == []
-
-    def test_regression_beyond_tolerance_flagged(self):
-        record = self._record(30000.0 * 0.5, 1.6)
-        problems = compare_bench(record, self.BASE)
-        assert len(problems) == 1
-        assert "events_per_sec" in problems[0]
-
-    def test_both_metrics_can_regress(self):
-        record = self._record(1.0, 0.1)
-        assert len(compare_bench(record, self.BASE)) == 2
-
-    def test_improvement_never_flags(self):
-        record = self._record(3.0e5, 4.0)
-        assert compare_bench(record, self.BASE) == []
-
-    def test_null_or_missing_baseline_metric_skipped(self):
-        base = {"metrics": {"events_per_sec": None}}
-        record = self._record(1.0, 0.0)
-        assert compare_bench(record, base) == []
-
-    def test_null_new_metric_skipped(self):
-        record = {"metrics": {"events_per_sec": None}}
-        assert compare_bench(record, self.BASE) == []
-
-    def test_custom_tolerance(self):
-        record = self._record(30000.0 * 0.95, 1.6)
-        assert compare_bench(record, self.BASE, tolerance=0.01)
-        assert compare_bench(record, self.BASE, tolerance=0.10) == []
-
-    def test_default_tolerance_is_twenty_percent(self):
-        assert REGRESSION_TOLERANCE == 0.20
-
-
-class TestPureReplayPhases:
-    def test_pure_replay_reports_null_events_per_sec(self):
-        stats = PhaseStats(name="cache_warm")
-        stats.cells = 5
-        stats.cache_hits = 5
-        stats.events = 0
-        stats.wall_s = 1e-5
-        assert stats.pure_replay
-        assert stats.as_dict()["events_per_sec"] is None
-
-    def test_simulating_phase_keeps_events_per_sec(self):
-        stats = PhaseStats(name="serial")
-        stats.cells = 5
-        stats.cache_hits = 0
-        stats.events = 1000
-        stats.wall_s = 0.5
-        assert not stats.pure_replay
-        assert stats.as_dict()["events_per_sec"] == pytest.approx(2000.0)

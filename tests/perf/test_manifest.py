@@ -95,7 +95,7 @@ class TestCheckpointResume:
         cell = _cell()
         manifest.plan([cell])
         manifest.record_done(cell, CellOutcome(value=1.0), attempts=1)
-        ckpt = manifest._checkpoint_path(manifest.key(cell))
+        ckpt = manifest.store.path(cell)
         ckpt.write_bytes(ckpt.read_bytes()[:-3])
         fresh = RunManifest(tmp_path)
         with pytest.warns(ArtifactIntegrityWarning):
@@ -110,8 +110,8 @@ class TestCheckpointResume:
         manifest.plan([a, b])
         manifest.record_done(a, CellOutcome(value=1.0), attempts=1)
         manifest.record_done(b, CellOutcome(value=2.0), attempts=1)
-        path_a = manifest._checkpoint_path(manifest.key(a))
-        path_b = manifest._checkpoint_path(manifest.key(b))
+        path_a = manifest.store.path(a)
+        path_b = manifest.store.path(b)
         path_a.write_bytes(path_b.read_bytes())
         fresh = RunManifest(tmp_path)
         with pytest.warns(ArtifactIntegrityWarning, match="checksum"):
@@ -143,13 +143,13 @@ class TestGc:
         cell = _cell()
         manifest.plan([cell])
         manifest.record_done(cell, CellOutcome(value=1.0), attempts=1)
-        orphan = manifest.cells_dir / ("f" * 64 + ".pkl")
+        orphan = manifest.store.path(_cell(99.0, index=9))
         orphan.write_bytes(b"junk")
         removed = RunManifest(tmp_path).gc()
         assert removed["orphaned"] == 1
         assert removed["stale"] == 0
         assert not orphan.exists()
-        assert manifest._checkpoint_path(manifest.key(cell)).exists()
+        assert manifest.store.path(cell).exists()
 
     def test_gc_tolerates_concurrently_vanishing_file(
         self, tmp_path, monkeypatch
@@ -162,10 +162,10 @@ class TestGc:
 
         manifest = RunManifest(tmp_path)
         manifest.plan([_cell()])
-        manifest.cells_dir.mkdir(parents=True, exist_ok=True)
-        vanishing = manifest.cells_dir / ("a" * 64 + ".pkl")
+        vanishing = manifest.store.path(_cell(98.0, index=8))
+        vanishing.parent.mkdir(parents=True, exist_ok=True)
         vanishing.write_bytes(b"gone")
-        survivor = manifest.cells_dir / ("f" * 64 + ".pkl")
+        survivor = manifest.store.path(_cell(99.0, index=9))
         survivor.write_bytes(b"junk!")
         real_stat = pathlib.Path.stat
         raced = {"done": False}
@@ -192,4 +192,5 @@ class TestGc:
         new = RunManifest(tmp_path, fingerprint="b" * 64)
         removed = new.gc()
         assert removed["stale"] == 1
-        assert list(new.cells_dir.glob("*.pkl")) == []
+        assert not old.store.path(cell).exists()
+        assert list(tmp_path.rglob("*.pkl")) == []

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.runner import ALL_IDS
+from repro.perf.cells import MicrobenchCell
+from repro.perf.manifest import RunManifest
 
 
 class TestCli:
@@ -95,7 +97,30 @@ class TestCrashSafety:
         captured = capsys.readouterr()
         assert "run manifest:" in captured.err
         assert (rd / "manifest.jsonl").is_file()
-        assert list((rd / "cells").glob("*.pkl"))
+        manifest = RunManifest(rd)
+        assert manifest.status().complete
+        assert manifest.store.stats().entries == len(manifest.status().cells)
+
+    def test_run_and_cache_dirs_share_one_store(self, tmp_path, capsys):
+        # With both --run-dir and --cache-dir, the run directory's
+        # checkpoints are the cache's entries: one file per cell.
+        rd, cd = tmp_path / "rd", tmp_path / "cache"
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["run", "fig5a", "--fast", "--run-dir", str(rd),
+                     "--cache-dir", str(cd), "--out", str(out1)]) == 0
+        cells = RunManifest(rd).status().cells
+        assert cells
+        pickles = sorted(rd.rglob("*.pkl")) + sorted(cd.rglob("*.pkl"))
+        assert len(pickles) == len(cells)
+        capsys.readouterr()
+        assert main(["run", "fig5a", "--fast", "--resume", str(rd),
+                     "--cache-dir", str(cd), "--out", str(out2)]) == 0
+        assert " restored, 0 executed)" in capsys.readouterr().err
+        assert sorted(rd.rglob("*.pkl")) + sorted(cd.rglob("*.pkl")) == (
+            sorted(pickles)
+        )
+        for name in ("fig5a.txt", "fig5a.csv"):
+            assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
 
     def test_runs_status_complete(self, tmp_path, capsys):
         rd = tmp_path / "rd"
@@ -127,8 +152,6 @@ class TestCrashSafety:
         assert "nothing to resume" in capsys.readouterr().out
 
     def test_runs_resume_reissues_recorded_command(self, tmp_path, capsys):
-        from repro.perf.manifest import RunManifest
-
         rd = tmp_path / "rd"
         out = tmp_path / "out"
         # A ledger with a recorded command but no completed cells: the
@@ -155,7 +178,10 @@ class TestCrashSafety:
         rd = tmp_path / "rd"
         main(["run", "fig5a", "--fast", "--run-dir", str(rd)])
         capsys.readouterr()
-        orphan = rd / "cells" / ("e" * 64 + ".pkl")
+        orphan = RunManifest(rd).store.path(
+            MicrobenchCell(kind="cpu", n_vms=1, level=1.0, index=0,
+                           duration=1.0, seed=0)
+        )
         orphan.write_bytes(b"junk")
         assert main(["runs", "gc", str(rd)]) == 0
         assert "1 orphaned" in capsys.readouterr().out
