@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.prediction import trained_models
-from repro.perf.executor import set_default_jobs
+from repro.perf.executor import ExecutionContext, execution_context
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -29,11 +29,10 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 
 @pytest.fixture(scope="session", autouse=True)
 def _executor_jobs(request: pytest.FixtureRequest):
-    """Install the session-wide ``--jobs`` executor default."""
+    """Install the session-wide ``--jobs`` execution context."""
     jobs = request.config.getoption("--jobs")
-    set_default_jobs(jobs)
-    yield
-    set_default_jobs(1)
+    with execution_context(ExecutionContext(jobs=jobs)):
+        yield
 
 
 @pytest.fixture(scope="session")

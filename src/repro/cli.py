@@ -533,7 +533,7 @@ EXIT_CELLS_FAILED = 3
 
 
 def _supervisor_config(args: argparse.Namespace):
-    """Build the supervisor config from CLI knobs (None = defaults)."""
+    """Build the supervisor config from the CLI knobs."""
     from repro.perf.supervisor import SupervisorConfig
 
     overrides = {}
@@ -545,11 +545,11 @@ def _supervisor_config(args: argparse.Namespace):
         if attempts < 1:
             raise ValueError("--cell-attempts must be >= 1")
         overrides["max_attempts"] = attempts
-    return SupervisorConfig(**overrides) if overrides else None
+    return SupervisorConfig(**overrides)
 
 
 def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
-    """Install the perf/crash-safety defaults for the dispatch, then reset."""
+    """Install the execution context for the dispatch, then restore."""
     jobs = getattr(args, "jobs", None)
     chunk = getattr(args, "chunk", None)
     cache_dir = getattr(args, "cache_dir", None)
@@ -566,7 +566,7 @@ def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
         # cache and runs have their own dispatch.
         return _dispatch(args)
     from repro.perf.cache import ResultCache
-    from repro.perf.executor import execution_defaults
+    from repro.perf.executor import ExecutionContext, execution_context
     from repro.perf.manifest import RunManifest
     from repro.perf.supervisor import (
         CellExecutionError,
@@ -575,6 +575,8 @@ def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
     )
 
     try:
+        if chunk is not None and chunk < 0:
+            raise ValueError("--chunk must be >= 0")
         supervisor = _supervisor_config(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -594,14 +596,14 @@ def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
     reset_stats()
     failed_cells = None
     try:
-        with execution_defaults(
-            jobs=jobs,
-            chunk=chunk,
+        with execution_context(ExecutionContext(
+            jobs=1 if jobs is None else jobs,
+            chunk=chunk or 0,
             cache=cache,
             manifest=manifest,
             resume=resume_dir is not None,
             supervisor=supervisor,
-        ):
+        )):
             try:
                 code = _dispatch(args)
             except CellExecutionError as exc:

@@ -60,7 +60,7 @@ from repro.obs import runtime as _obs
 from repro.perf import pool as warmpool
 from repro.perf import supervisor as _supervisor
 from repro.perf.cells import MicrobenchCell
-from repro.perf.executor import run_cells
+from repro.perf.executor import ExecutionContext, execution_context, run_cells
 from repro.perf.supervisor import SupervisorConfig
 from repro.placement.migration import HotspotDetector, MigrationPlanner
 from repro.placement.resilient import (
@@ -554,12 +554,12 @@ def _run_workers(wp: WorkerPlan, workdir: Path) -> WorkersOutcome:
     ]
     _supervisor.reset_stats()
     try:
-        got = run_cells(
-            cells,
+        with execution_context(ExecutionContext(
             jobs=wp.jobs,
             chunk=wp.chunk,
             supervisor=SupervisorConfig(deadline_s=60.0, max_attempts=3),
-        )
+        )):
+            got = run_cells(cells)
     finally:
         stats = _supervisor.stats()
         warmpool.shutdown_pool()

@@ -3,11 +3,8 @@
 Exit codes follow CI conventions: 0 clean, 1 violations found, 2 usage
 error (unknown path / unknown rule code).
 
-Output formats: ``text`` (human, plus optional per-rule statistics and
-cache counters), ``json`` (machine), ``sarif`` (SARIF 2.1.0, for
-GitHub code-scanning upload).  ``--cache-dir`` enables the incremental
-cache; ``--fix`` applies the mechanical autofixes (REP003/REP005)
-before reporting what remains.
+Output formats: ``text`` (human, plus optional per-rule statistics)
+and ``json`` (machine).
 """
 
 from __future__ import annotations
@@ -19,11 +16,8 @@ from collections import Counter
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint import sarif
-from repro.lint.cache import LintCache
 from repro.lint.config import load_config
 from repro.lint.engine import LintEngine
-from repro.lint.fixes import FIXABLE_CODES, fix_source
 from repro.lint.rules import REGISTRY, all_rules
 
 
@@ -47,9 +41,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="report format (default: text; sarif emits SARIF 2.1.0)",
+        help="report format (default: text)",
     )
     parser.add_argument(
         "--select",
@@ -70,25 +64,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         metavar="PYPROJECT",
         help="pyproject.toml to read [tool.repro.lint] from "
         "(default: ./pyproject.toml)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="enable the incremental cache: re-analyze only files whose "
-        "import-dependency closure changed since the cached run",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="report analyzed vs cache-replayed file counts",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply mechanical autofixes "
-        f"({', '.join(FIXABLE_CODES)}) before reporting",
     )
     parser.add_argument(
         "--statistics",
@@ -124,27 +99,6 @@ def _rule_table() -> str:
     return "\n".join(lines)
 
 
-def _apply_fixes(engine: LintEngine, paths: Sequence[Path]) -> None:
-    """Rewrite fixable violations in place; summary goes to stderr so
-    machine-readable stdout (json/sarif) stays clean."""
-    fixed_total = 0
-    fixed_files = 0
-    for path in engine.walk(paths):
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue
-        new, n = fix_source(source, path=path.as_posix(), config=engine.config)
-        if n and new != source:
-            path.write_text(new, encoding="utf-8")
-            fixed_total += n
-            fixed_files += 1
-    print(
-        f"--fix: rewrote {fixed_total} violation(s) in {fixed_files} file(s)",
-        file=sys.stderr,
-    )
-
-
 def run_from_args(args: argparse.Namespace) -> int:
     """Execute a parsed ``repro lint`` invocation."""
     if args.list_rules:
@@ -177,11 +131,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"error: no such file or directory: {names}", file=sys.stderr)
         return 2
 
-    engine = LintEngine(config)
-    if args.fix:
-        _apply_fixes(engine, paths)
-    cache = LintCache(args.cache_dir) if args.cache_dir is not None else None
-    report = engine.run(paths, cache=cache)
+    report = LintEngine(config).run(paths)
     violations = report.violations
 
     if args.format == "json":
@@ -190,18 +140,7 @@ def run_from_args(args: argparse.Namespace) -> int:
             "count": len(violations),
             "violations": [v.as_dict() for v in violations],
         }
-        if args.stats:
-            payload["analyzed"] = report.analyzed
-            payload["cached"] = report.cached
         print(json.dumps(payload, indent=2))
-    elif args.format == "sarif":
-        print(sarif.render_text(violations, engine.rules()))
-        if args.stats:
-            print(
-                f"cache: {report.analyzed} analyzed, "
-                f"{report.cached} replayed",
-                file=sys.stderr,
-            )
     else:
         for v in violations:
             print(v.render())
@@ -215,11 +154,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             else f"clean: 0 violations in {len(report.files)} file(s)"
         )
         print(summary)
-        if args.stats:
-            print(
-                f"cache: {report.analyzed} file(s) analyzed, "
-                f"{report.cached} replayed from cache"
-            )
     return 1 if violations else 0
 
 

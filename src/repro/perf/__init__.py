@@ -8,7 +8,8 @@ of code, configuration and seed):
   sweeps factored into independent :class:`~repro.perf.cells.Cell`
   descriptors, fanned out over a process pool with results merged in
   cell order so parallel output is byte-identical to serial
-  (``repro run --jobs N``);
+  (``repro run --jobs N``), configured by one installed
+  :class:`~repro.perf.executor.ExecutionContext`;
 * :mod:`repro.perf.cache` -- a content-addressed on-disk cache keyed by
   (cell config, code fingerprint); warm re-runs are I/O-bound
   (``repro run --cache-dir D``, ``repro cache stats|clear``);
@@ -39,19 +40,10 @@ from repro.perf.cells import (
 )
 from repro.perf.executor import (
     CellOutcome,
-    default_cache,
-    default_jobs,
-    default_manifest,
-    default_resume,
-    default_supervisor,
-    execution_defaults,
+    ExecutionContext,
+    execution_context,
     resolve_jobs,
     run_cells,
-    set_default_cache,
-    set_default_jobs,
-    set_default_manifest,
-    set_default_resume,
-    set_default_supervisor,
 )
 from repro.perf.integrity import (
     ArtifactIntegrityWarning,
@@ -73,6 +65,7 @@ __all__ = [
     "Cell",
     "CellExecutionError",
     "CellOutcome",
+    "ExecutionContext",
     "IntegrityError",
     "MicrobenchCell",
     "PredictionCell",
@@ -86,20 +79,10 @@ __all__ = [
     "cell_key",
     "code_fingerprint",
     "content_digest",
-    "default_cache",
-    "default_jobs",
-    "default_manifest",
-    "default_resume",
-    "default_supervisor",
-    "execution_defaults",
+    "execution_context",
     "read_artifact",
     "resolve_jobs",
     "run_cells",
     "run_supervised",
-    "set_default_cache",
-    "set_default_jobs",
-    "set_default_manifest",
-    "set_default_resume",
-    "set_default_supervisor",
     "write_artifact",
 ]

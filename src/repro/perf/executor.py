@@ -30,11 +30,14 @@ exhaust their attempts raise
 cell has completed and been checkpointed, so a partial failure never
 discards sibling work.
 
-The module also owns the process-wide execution defaults (``--jobs``,
-``--cache-dir``, ``--run-dir``/``--resume``, supervisor knobs) so the
-CLI can configure fan-out without threading parameters through every
-experiment signature -- the same pattern :mod:`repro.sim.sanitize`
-uses for its ``--sanitize`` default.
+Everything :func:`run_cells` needs besides the cells -- worker count,
+chunk size, result cache, run manifest, resume flag, supervisor knobs
+(``--jobs``, ``--chunk``, ``--cache-dir``, ``--run-dir``/``--resume``,
+``--cell-*``) -- lives in one frozen :class:`ExecutionContext`.  The
+CLI (or a test, or a fault drill) installs a whole context with
+:func:`execution_context` for the span of a dispatch, so fan-out is
+configured without threading parameters through every experiment
+signature, and there is exactly one way to set each value.
 """
 
 from __future__ import annotations
@@ -78,146 +81,69 @@ class CellOutcome:
     obs: Optional[Dict[str, Any]] = None
 
 
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``--jobs`` value: ``None`` -> default, ``<=0`` -> CPUs."""
-    if jobs is None:
-        jobs = default_jobs()
+@dataclass(frozen=True)
+class ExecutionContext:
+    """How :func:`run_cells` executes, installed by :func:`execution_context`.
+
+    ``jobs`` is the worker count (``1`` runs inline, ``<= 0`` uses the
+    machine's CPU count); ``chunk`` the cells per pool task (``0`` picks
+    the cost model of :func:`resolve_chunk`); ``cache`` an optional
+    :class:`ResultCache` (``--cache-dir``); ``manifest`` an optional
+    :class:`~repro.perf.manifest.RunManifest` (``--run-dir``) in which
+    every cell is planned and every completed cell checkpointed;
+    ``resume`` restores cells with a verified checkpoint in
+    ``manifest`` instead of executing them; ``supervisor`` holds the
+    deadline/retry knobs.
+    """
+
+    jobs: int = 1
+    chunk: int = 0
+    cache: Optional[ResultCache] = None
+    manifest: Optional[RunManifest] = None
+    resume: bool = False
+    supervisor: SupervisorConfig = SupervisorConfig()
+
+
+_context = ExecutionContext()
+
+
+@contextmanager
+def execution_context(context: ExecutionContext) -> Iterator[ExecutionContext]:
+    """Install ``context`` for the block, then restore the previous one.
+
+    The whole context is swapped: a field left at its default means
+    that default (no cache, no manifest, ...), never "inherit the
+    enclosing context's value".
+    """
+    global _context
+    previous = _context
+    _context = context
+    try:
+        yield context
+    finally:
+        _context = previous
+
+
+def resolve_jobs(jobs: int) -> int:
+    """Normalize a ``--jobs`` value: ``<= 0`` -> the machine's CPUs."""
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return jobs
 
 
-def resolve_chunk(chunk: Optional[int], n_cells: int, jobs: int) -> int:
-    """Normalize ``--chunk``: explicit ``N`` wins, ``None``/``0`` -> model.
+def resolve_chunk(chunk: int, n_cells: int, jobs: int) -> int:
+    """Normalize ``--chunk``: explicit ``N`` wins, ``0`` -> cost model.
 
     The cost model targets roughly four dispatch waves per worker:
     large enough to amortize per-task submit/pickle/IPC overhead,
     small enough that the tail of a sweep still load-balances.  A
     fan-out that does not fill one wave per worker runs unchunked.
     """
-    if chunk is None:
-        chunk = default_chunk()
-    if chunk and chunk > 0:
+    if chunk > 0:
         return int(chunk)
     if jobs <= 1 or n_cells <= jobs:
         return 1
     return max(1, -(-n_cells // (jobs * 4)))
-
-
-# --------------------------------------------------------------------------
-# Process-wide execution defaults (wired up by the CLI).
-# --------------------------------------------------------------------------
-
-_default_jobs = 1
-_default_chunk = 0
-_default_cache: Optional[ResultCache] = None
-_default_manifest: Optional[RunManifest] = None
-_default_resume = False
-_default_supervisor: Optional[SupervisorConfig] = None
-
-
-def default_jobs() -> int:
-    """Worker count used when callers do not pass ``jobs`` explicitly."""
-    return _default_jobs
-
-
-def set_default_jobs(jobs: int) -> None:
-    """Set the process-wide worker count (``repro ... --jobs N``)."""
-    global _default_jobs
-    _default_jobs = int(jobs)
-
-
-def default_chunk() -> int:
-    """Cells per pool task (``--chunk``); ``0`` selects the cost model."""
-    return _default_chunk
-
-
-def set_default_chunk(chunk: int) -> None:
-    """Set the process-wide chunk size (``repro ... --chunk N``)."""
-    global _default_chunk
-    _default_chunk = max(0, int(chunk))
-
-
-def default_cache() -> Optional[ResultCache]:
-    """Cache used when callers do not pass one explicitly."""
-    return _default_cache
-
-
-def set_default_cache(cache: Optional[ResultCache]) -> None:
-    """Install (or clear) the process-wide result cache."""
-    global _default_cache
-    _default_cache = cache
-
-
-def default_manifest() -> Optional[RunManifest]:
-    """Run manifest cells are recorded to (``--run-dir``), or ``None``."""
-    return _default_manifest
-
-
-def set_default_manifest(manifest: Optional[RunManifest]) -> None:
-    """Install (or clear) the process-wide run manifest."""
-    global _default_manifest
-    _default_manifest = manifest
-
-
-def default_resume() -> bool:
-    """True when completed cells are restored from checkpoints."""
-    return _default_resume
-
-
-def set_default_resume(resume: bool) -> None:
-    """Enable/disable checkpoint restoration (``--resume``)."""
-    global _default_resume
-    _default_resume = bool(resume)
-
-
-def default_supervisor() -> SupervisorConfig:
-    """Supervision knobs used by :func:`run_cells`."""
-    return _default_supervisor or SupervisorConfig()
-
-
-def set_default_supervisor(config: Optional[SupervisorConfig]) -> None:
-    """Install (or clear) the process-wide supervisor configuration."""
-    global _default_supervisor
-    _default_supervisor = config
-
-
-@contextmanager
-def execution_defaults(
-    *,
-    jobs: Optional[int] = None,
-    chunk: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    manifest: Optional[RunManifest] = None,
-    resume: Optional[bool] = None,
-    supervisor: Optional[SupervisorConfig] = None,
-) -> Iterator[None]:
-    """Temporarily install execution defaults (CLI / test scoping)."""
-    prev = (
-        _default_jobs, _default_cache, _default_manifest,
-        _default_resume, _default_supervisor, _default_chunk,
-    )
-    if jobs is not None:
-        set_default_jobs(jobs)
-    if chunk is not None:
-        set_default_chunk(chunk)
-    if cache is not None:
-        set_default_cache(cache)
-    if manifest is not None:
-        set_default_manifest(manifest)
-    if resume is not None:
-        set_default_resume(resume)
-    if supervisor is not None:
-        set_default_supervisor(supervisor)
-    try:
-        yield
-    finally:
-        set_default_jobs(prev[0])
-        set_default_cache(prev[1])
-        set_default_manifest(prev[2])
-        set_default_resume(prev[3])
-        set_default_supervisor(prev[4])
-        set_default_chunk(prev[5])
 
 
 # --------------------------------------------------------------------------
@@ -354,47 +280,26 @@ _CONSUMED = object()
 def run_cells(
     cells: Sequence[Cell],
     *,
-    jobs: Optional[int] = None,
-    chunk: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     phase: Optional[str] = None,
-    manifest: Optional[RunManifest] = None,
-    resume: Optional[bool] = None,
-    supervisor: Optional[SupervisorConfig] = None,
     consume: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
     """Execute ``cells`` and return their values in input order.
+
+    How they execute -- workers, chunking, cache, manifest, resume,
+    supervision -- comes from the installed :class:`ExecutionContext`.
+    Chunking only batches the transport: outcomes still complete per
+    cell, in cell order.  With a manifest, every cell is planned in the
+    ledger and every completed cell is checkpointed before this
+    function returns or raises.
 
     Parameters
     ----------
     cells:
         The work items.  Each must be independently executable -- no
         cell may observe another's side effects.
-    jobs:
-        Worker processes; ``None`` uses :func:`default_jobs`, ``<= 0``
-        uses the machine's CPU count, ``1`` runs inline.
-    chunk:
-        Cells dispatched to a worker per pool task; ``None`` uses
-        :func:`default_chunk`, ``0`` picks the deterministic cost-model
-        default (see :func:`resolve_chunk`).  Chunking only batches the
-        transport -- outcomes still complete per cell, in cell order.
-    cache:
-        Optional :class:`ResultCache`; ``None`` uses the process-wide
-        default (``--cache-dir``), which may itself be absent.
     phase:
         Label of the executor's obs counters and span; defaults to the
         first cell's ``group``.
-    manifest:
-        Optional :class:`~repro.perf.manifest.RunManifest`; ``None``
-        uses the process-wide default (``--run-dir``).  When set, every
-        cell is planned in the ledger and every completed cell is
-        checkpointed before this function returns or raises.
-    resume:
-        When true (or the ``--resume`` default is installed), cells
-        with a verified checkpoint in ``manifest`` are restored instead
-        of executed.
-    supervisor:
-        Supervision knobs; ``None`` uses the process-wide default.
     consume:
         Incremental-consume (streaming) mode: ``consume(index, value)``
         is invoked for every cell **in strict cell order** as soon as
@@ -419,14 +324,10 @@ def run_cells(
     """
     if not cells:
         return []
-    jobs = resolve_jobs(jobs)
-    if cache is None:
-        cache = default_cache()
-    if manifest is None:
-        manifest = default_manifest()
-    if resume is None:
-        resume = default_resume()
-    config = supervisor or default_supervisor()
+    ctx = _context
+    jobs = resolve_jobs(ctx.jobs)
+    cache = ctx.cache
+    manifest = ctx.manifest
     phase_name = phase or cells[0].group
 
     context = (sanitize.default_enabled(), obs.default_enabled())
@@ -440,7 +341,7 @@ def run_cells(
     hits = 0
     if manifest is not None:
         manifest.plan(cells)
-        if resume:
+        if ctx.resume:
             for i, cell in enumerate(cells):
                 restored = manifest.load(cell)
                 if restored is not None:
@@ -515,9 +416,9 @@ def run_cells(
             worker_args=context,
             execute_inline=_execute_cell,
             complete=complete,
-            config=config,
+            config=ctx.supervisor,
             attempts_out=attempts,
-            chunk=resolve_chunk(chunk, len(missing), jobs),
+            chunk=resolve_chunk(ctx.chunk, len(missing), jobs),
             chunk_worker=_chunk_worker,
             pool_factory=(
                 (lambda workers: warmpool.get_pool(jobs, context))

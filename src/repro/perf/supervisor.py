@@ -35,10 +35,9 @@ inline -- produces byte-identical output, and the executor still merges
 outcomes in cell order.  Supervision changes only whether a transient
 failure costs the whole run.
 
-Wall-clock reads (deadline arithmetic, backoff sleeps) are confined to
-the two funnel helpers below, each carrying a justified
-``noqa[REP002]`` -- the same precedent as
-:func:`repro.obs.runtime.wall_now`, and enforced by the REP011 lint
+Wall-clock use (backoff sleeps) is confined to the funnel helper
+below, which carries a justified ``noqa[REP002]`` -- the same precedent
+as :func:`repro.obs.runtime.wall_now`, and enforced by the REP011 lint
 rule for this file.
 """
 
@@ -176,13 +175,8 @@ def reset_stats() -> SupervisionStats:
 
 
 # --------------------------------------------------------------------------
-# Wall-clock funnels (the only sanctioned readers in this module).
+# Wall-clock funnel (the only sanctioned time use in this module).
 # --------------------------------------------------------------------------
-
-
-def _clock() -> float:
-    """Monotonic seconds for deadline arithmetic."""
-    return time.monotonic()  # repro: noqa[REP002] supervision deadlines measure real worker liveness, never simulated time
 
 
 def _backoff_sleep(seconds: float) -> None:

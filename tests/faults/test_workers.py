@@ -137,7 +137,11 @@ class TestChunkedDispatch:
 
     def _run_chunked(self, tmp_path, fault_index, fault_kind, **fault_kw):
         from repro.perf import supervisor as _supervisor
-        from repro.perf.executor import run_cells
+        from repro.perf.executor import (
+            ExecutionContext,
+            execution_context,
+            run_cells,
+        )
         from repro.perf.supervisor import SupervisorConfig
 
         inners = [_cell(index=i, duration=2.0) for i in range(4)]
@@ -153,12 +157,12 @@ class TestChunkedDispatch:
             for i, inner in enumerate(inners)
         ]
         _supervisor.reset_stats()
-        got = run_cells(
-            cells,
+        with execution_context(ExecutionContext(
             jobs=2,
             chunk=2,
             supervisor=SupervisorConfig(deadline_s=60.0, max_attempts=3),
-        )
+        )):
+            got = run_cells(cells)
         return expected, got, _supervisor.stats()
 
     def test_kill_in_chunk_fires_once_and_results_match(self, tmp_path):

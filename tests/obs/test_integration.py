@@ -17,7 +17,7 @@ from repro.obs import runtime
 from repro.obs.export import load_obs_dir
 from repro.obs.registry import KIND_COUNTER
 from repro.perf.cells import MicrobenchCell
-from repro.perf.executor import run_cells
+from repro.perf.executor import ExecutionContext, execution_context, run_cells
 
 
 def _cells(n=3):
@@ -64,9 +64,10 @@ class TestExecutorMerge:
     def test_pool_counters_match_serial(self):
         cells = _cells()
         with runtime.collecting() as serial:
-            serial_out = run_cells(cells, jobs=1)
+            serial_out = run_cells(cells)
         with runtime.collecting() as pooled:
-            pooled_out = run_cells(cells, jobs=2)
+            with execution_context(ExecutionContext(jobs=2)):
+                pooled_out = run_cells(cells)
         assert pooled_out == serial_out
         assert _counter_values(pooled) == _counter_values(serial)
         assert len(pooled.spans) == len(serial.spans)
@@ -77,8 +78,9 @@ class TestExecutorMerge:
         cells = _cells()
         cache = ResultCache(tmp_path)
         with runtime.collecting() as collector:
-            run_cells(cells, cache=cache)
-            run_cells(cells, cache=cache)
+            with execution_context(ExecutionContext(cache=cache)):
+                run_cells(cells)
+                run_cells(cells)
         counters = _counter_values(collector)
         hits = sum(
             v for (name, _), v in counters.items()
@@ -96,9 +98,15 @@ class TestExecutorMerge:
 
         cells = _cells()
         with runtime.collecting():
-            run_cells(cells, cache=ResultCache(tmp_path))
+            with execution_context(ExecutionContext(
+                cache=ResultCache(tmp_path),
+            )):
+                run_cells(cells)
         with runtime.collecting() as warm:
-            run_cells(cells, cache=ResultCache(tmp_path))
+            with execution_context(ExecutionContext(
+                cache=ResultCache(tmp_path),
+            )):
+                run_cells(cells)
         # Cached cells replay the spans their original execution
         # recorded (shipped inside the outcome snapshot).
         assert "sim" in warm.spans.sources()

@@ -11,7 +11,12 @@ from repro.perf.cache import (
 )
 from repro.perf.integrity import ArtifactIntegrityWarning
 from repro.perf.cells import MicrobenchCell, content_digest
-from repro.perf.executor import CellOutcome, run_cells
+from repro.perf.executor import (
+    CellOutcome,
+    ExecutionContext,
+    execution_context,
+    run_cells,
+)
 
 
 def _cell(level: float = 25.0, **overrides) -> MicrobenchCell:
@@ -54,22 +59,26 @@ class TestRoundTrip:
     def test_cold_then_warm_identical(self, tmp_path):
         cells = [_cell(level=10.0), _cell(level=20.0, index=1)]
         cache = ResultCache(tmp_path)
-        cold = run_cells(cells, cache=cache)
+        with execution_context(ExecutionContext(cache=cache)):
+            cold = run_cells(cells)
         assert cache.misses == 2 and cache.hits == 0
         warm_cache = ResultCache(tmp_path)
-        warm = run_cells(cells, cache=warm_cache)
+        with execution_context(ExecutionContext(cache=warm_cache)):
+            warm = run_cells(cells)
         assert warm_cache.hits == 2 and warm_cache.misses == 0
         assert warm == cold
 
     def test_corrupt_entry_is_a_miss_and_recomputed(self, tmp_path):
         cell = _cell()
         cache = ResultCache(tmp_path)
-        (good,) = run_cells([cell], cache=cache)
+        with execution_context(ExecutionContext(cache=cache)):
+            (good,) = run_cells([cell])
         path = cache.path(cell)
         path.write_bytes(b"not a pickle")
         fresh = ResultCache(tmp_path)
         with pytest.warns(ArtifactIntegrityWarning):
-            (recomputed,) = run_cells([cell], cache=fresh)
+            with execution_context(ExecutionContext(cache=fresh)):
+                (recomputed,) = run_cells([cell])
         assert fresh.misses == 1
         assert recomputed == good
 
@@ -145,8 +154,9 @@ class TestStaleEviction:
 class TestStats:
     def test_stats_counts_and_render(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_cells([_cell()], cache=cache)
-        run_cells([_cell()], cache=cache)
+        with execution_context(ExecutionContext(cache=cache)):
+            run_cells([_cell()])
+            run_cells([_cell()])
         stats = cache.stats()
         assert stats.entries == 1
         assert stats.hits == 1 and stats.misses == 1
@@ -160,8 +170,9 @@ class TestPersistedStats:
 
     def test_flush_makes_counters_visible_to_fresh_instance(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_cells([_cell()], cache=cache)
-        run_cells([_cell()], cache=cache)
+        with execution_context(ExecutionContext(cache=cache)):
+            run_cells([_cell()])
+            run_cells([_cell()])
         cache.flush_stats()
         # The bug: a fresh instance (what the stats subcommand builds)
         # reported hits=0, misses=0 no matter what the cache had done.
@@ -172,7 +183,8 @@ class TestPersistedStats:
     def test_flush_accumulates_across_sessions(self, tmp_path):
         for _ in range(2):
             cache = ResultCache(tmp_path)
-            run_cells([_cell()], cache=cache)
+            with execution_context(ExecutionContext(cache=cache)):
+                run_cells([_cell()])
             cache.flush_stats()
         stats = ResultCache(tmp_path).stats()
         assert stats.hits == 1  # second session was all hits
@@ -180,24 +192,28 @@ class TestPersistedStats:
 
     def test_double_flush_does_not_double_count(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_cells([_cell()], cache=cache)
+        with execution_context(ExecutionContext(cache=cache)):
+            run_cells([_cell()])
         cache.flush_stats()
         cache.flush_stats()
         assert ResultCache(tmp_path).stats().misses == 1
 
     def test_session_counters_still_session_scoped(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_cells([_cell()], cache=cache)
+        with execution_context(ExecutionContext(cache=cache)):
+            run_cells([_cell()])
         cache.flush_stats()
         assert cache.hits == 0 and cache.misses == 0
         # stats() folds persisted + session.
-        run_cells([_cell()], cache=cache)
+        with execution_context(ExecutionContext(cache=cache)):
+            run_cells([_cell()])
         assert cache.hits == 1
         assert cache.stats().hits == 1 and cache.stats().misses == 1
 
     def test_stats_file_not_counted_as_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_cells([_cell()], cache=cache)
+        with execution_context(ExecutionContext(cache=cache)):
+            run_cells([_cell()])
         before = cache.stats()
         cache.flush_stats()
         after = ResultCache(tmp_path).stats()
@@ -206,7 +222,8 @@ class TestPersistedStats:
 
     def test_corrupt_stats_file_resets_with_warning(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_cells([_cell()], cache=cache)
+        with execution_context(ExecutionContext(cache=cache)):
+            run_cells([_cell()])
         cache.flush_stats()
         cache._stats_path.write_bytes(b"scrambled")
         with pytest.warns(ArtifactIntegrityWarning, match="cache stats"):

@@ -15,17 +15,16 @@ from repro.experiments import runner
 from repro.perf import pool as warmpool
 from repro.perf.cells import MicrobenchCell
 from repro.perf.executor import (
-    default_chunk,
-    execution_defaults,
+    ExecutionContext,
+    execution_context,
     resolve_chunk,
     run_cells,
-    set_default_chunk,
 )
 from repro.sim import sanitize
 
 
-def _fig2a_render(jobs: int, chunk=None) -> str:
-    with execution_defaults(jobs=jobs, chunk=chunk):
+def _fig2a_render(jobs: int, chunk: int = 0) -> str:
+    with execution_context(ExecutionContext(jobs=jobs, chunk=chunk)):
         return runner.run("fig2a", fast=True).render()
 
 
@@ -43,7 +42,6 @@ class TestResolveChunk:
     def test_auto_targets_four_waves_per_worker(self):
         # 40 cells / (4 jobs * 4 waves) = 2.5 -> ceil -> 3
         assert resolve_chunk(0, 40, 4) == 3
-        assert resolve_chunk(None, 40, 4) == 3
         assert resolve_chunk(0, 160, 4) == 10
 
     def test_auto_degenerates_to_singletons(self):
@@ -52,19 +50,10 @@ class TestResolveChunk:
         assert resolve_chunk(0, 0, 4) == 1
 
     def test_default_chunk_round_trips(self):
-        assert default_chunk() == 0
-        with execution_defaults(chunk=7):
-            assert default_chunk() == 7
-            assert resolve_chunk(None, 100, 4) == 7
-        assert default_chunk() == 0
-
-    def test_set_default_chunk_clamps_negative(self):
-        prev = default_chunk()
-        set_default_chunk(-3)
-        try:
-            assert default_chunk() == 0
-        finally:
-            set_default_chunk(prev)
+        # The default context's chunk of 0 selects the cost model.
+        assert resolve_chunk(ExecutionContext().chunk, 40, 4) == 3
+        with execution_context(ExecutionContext(chunk=7)) as ctx:
+            assert resolve_chunk(ctx.chunk, 100, 4) == 7
 
 
 class TestChunkedDeterminism:
@@ -84,11 +73,12 @@ class TestChunkedDeterminism:
             for i, level in enumerate((16.0, 32.0, 64.0, 96.0))
         ]
         with sanitize.sanitized():
-            serial_values = run_cells(cells, jobs=1)
+            serial_values = run_cells(cells)
             serial_counts = sanitize.aggregate_draw_counts()
             serial_pops = sanitize.total_pops()
         with sanitize.sanitized():
-            chunked_values = run_cells(cells, jobs=2, chunk=2)
+            with execution_context(ExecutionContext(jobs=2, chunk=2)):
+                chunked_values = run_cells(cells)
             chunked_counts = sanitize.aggregate_draw_counts()
             chunked_pops = sanitize.total_pops()
         assert chunked_values == serial_values
@@ -104,8 +94,9 @@ class TestChunkedDeterminism:
             )
             for i, level in enumerate((10.0, 40.0, 70.0))
         ]
-        serial = run_cells(cells, jobs=1)
-        assert run_cells(cells, jobs=2, chunk=99) == serial
+        serial = run_cells(cells)
+        with execution_context(ExecutionContext(jobs=2, chunk=99)):
+            assert run_cells(cells) == serial
 
 
 class TestWarmPool:

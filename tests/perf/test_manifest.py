@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.perf.cells import MicrobenchCell
-from repro.perf.executor import CellOutcome, run_cells
+from repro.perf.executor import (
+    CellOutcome,
+    ExecutionContext,
+    execution_context,
+    run_cells,
+)
 from repro.perf.integrity import ArtifactIntegrityWarning
 from repro.perf.manifest import (
     STATUS_DONE,
@@ -128,10 +133,12 @@ class TestCheckpointResume:
     def test_run_cells_resumes_from_checkpoints(self, tmp_path):
         cells = [_cell(10.0), _cell(20.0, index=1)]
         first = RunManifest(tmp_path)
-        baseline = run_cells(cells, manifest=first, resume=False)
+        with execution_context(ExecutionContext(manifest=first, resume=False)):
+            baseline = run_cells(cells)
         assert first.executed == 2
         second = RunManifest(tmp_path)
-        resumed = run_cells(cells, manifest=second, resume=True)
+        with execution_context(ExecutionContext(manifest=second, resume=True)):
+            resumed = run_cells(cells)
         assert resumed == baseline
         assert second.restored == 2
         assert second.executed == 0

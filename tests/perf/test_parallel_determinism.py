@@ -10,18 +10,19 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import runner
+from repro.perf.cache import ResultCache
 from repro.perf.cells import MicrobenchCell
 from repro.perf.executor import (
-    execution_defaults,
+    ExecutionContext,
+    execution_context,
     resolve_jobs,
     run_cells,
-    set_default_jobs,
 )
 from repro.sim import sanitize
 
 
 def _fig2a_render(jobs: int) -> str:
-    with execution_defaults(jobs=jobs):
+    with execution_context(ExecutionContext(jobs=jobs)):
         return runner.run("fig2a", fast=True).render()
 
 
@@ -40,11 +41,12 @@ class TestParallelDeterminism:
             for i, level in enumerate((16.0, 64.0))
         ]
         with sanitize.sanitized():
-            serial_values = run_cells(cells, jobs=1)
+            serial_values = run_cells(cells)
             serial_counts = sanitize.aggregate_draw_counts()
             serial_pops = sanitize.total_pops()
         with sanitize.sanitized():
-            parallel_values = run_cells(cells, jobs=2)
+            with execution_context(ExecutionContext(jobs=2)):
+                parallel_values = run_cells(cells)
             parallel_counts = sanitize.aggregate_draw_counts()
             parallel_pops = sanitize.total_pops()
         assert parallel_values == serial_values
@@ -66,22 +68,39 @@ class TestParallelDeterminism:
                 duration=2.0, seed=42,
             ),
         ]
-        serial = run_cells(cells, jobs=1)
-        parallel = run_cells(cells, jobs=2)
+        serial = run_cells(cells)
+        with execution_context(ExecutionContext(jobs=2)):
+            parallel = run_cells(cells)
         assert parallel == serial
 
 
 class TestJobsPlumbing:
     def test_resolve_jobs_default_and_cpu_count(self):
-        assert resolve_jobs(None) == 1
+        assert resolve_jobs(ExecutionContext().jobs) == 1
         assert resolve_jobs(3) == 3
         assert resolve_jobs(0) >= 1
 
-    def test_execution_defaults_restores(self):
-        set_default_jobs(1)
-        with execution_defaults(jobs=7):
-            assert resolve_jobs(None) == 7
-        assert resolve_jobs(None) == 1
+    def test_nested_uncached_context_restores_outer(self, tmp_path):
+        cells = [
+            MicrobenchCell(
+                kind="cpu", n_vms=1, level=10.0, index=0,
+                duration=2.0, seed=42,
+            )
+        ]
+        cache = ResultCache(tmp_path)
+        with execution_context(ExecutionContext(cache=cache)):
+            first = run_cells(cells)
+            assert (cache.hits, cache.misses) == (0, 1)
+            with pytest.raises(RuntimeError, match="inner"):
+                # cache=None installs "no cache": the cached cell is
+                # recomputed without touching the outer cache.
+                with execution_context(ExecutionContext(cache=None)):
+                    assert run_cells(cells) == first
+                    assert (cache.hits, cache.misses) == (0, 1)
+                    raise RuntimeError("inner")
+            # The exception restored the outer context and its cache.
+            assert run_cells(cells) == first
+            assert (cache.hits, cache.misses) == (1, 1)
 
     def test_empty_cell_list(self):
         assert run_cells([]) == []

@@ -16,7 +16,12 @@ import pytest
 
 from repro.perf.cache import ResultCache
 from repro.perf.cells import Cell, MicrobenchCell
-from repro.perf.executor import _CONSUMED, run_cells
+from repro.perf.executor import (
+    _CONSUMED,
+    ExecutionContext,
+    execution_context,
+    run_cells,
+)
 from repro.perf.manifest import RunManifest
 from repro.perf.supervisor import (
     CellExecutionError,
@@ -109,11 +114,12 @@ class TestConsumeOrder:
 
     def test_parallel_consume_matches_serial(self):
         cells = _micro_cells(4)
-        serial = run_cells(cells, jobs=1)
+        serial = run_cells(cells)
         streamed = []
-        result = run_cells(
-            cells, jobs=2, consume=lambda i, v: streamed.append((i, v))
-        )
+        with execution_context(ExecutionContext(jobs=2)):
+            result = run_cells(
+                cells, consume=lambda i, v: streamed.append((i, v))
+            )
         assert result == []
         assert [i for i, _ in streamed] == [0, 1, 2, 3]
         assert [v for _, v in streamed] == serial
@@ -124,23 +130,24 @@ class TestConsumeComposition:
         cells = [ValueCell(i) for i in range(4)]
         cache = ResultCache(tmp_path / "cache")
         cold = []
-        run_cells(cells, cache=cache, consume=lambda i, v: cold.append(v))
+        with execution_context(ExecutionContext(cache=cache)):
+            run_cells(cells, consume=lambda i, v: cold.append(v))
         warm = []
-        run_cells(cells, cache=cache, consume=lambda i, v: warm.append(v))
+        with execution_context(ExecutionContext(cache=cache)):
+            run_cells(cells, consume=lambda i, v: warm.append(v))
         assert warm == cold == [0, 10, 20, 30]
 
     def test_resume_reconsumes_restored_cells(self, tmp_path):
         cells = [ValueCell(i) for i in range(3)]
         first = RunManifest(tmp_path / "run")
         first.open_run(["test"], resumed=False)
-        run_cells(cells, manifest=first, consume=lambda i, v: None)
+        with execution_context(ExecutionContext(manifest=first)):
+            run_cells(cells, consume=lambda i, v: None)
         second = RunManifest(tmp_path / "run")
         second.open_run(["test"], resumed=True)
         replayed = []
-        run_cells(
-            cells, manifest=second, resume=True,
-            consume=lambda i, v: replayed.append((i, v)),
-        )
+        with execution_context(ExecutionContext(manifest=second, resume=True)):
+            run_cells(cells, consume=lambda i, v: replayed.append((i, v)))
         assert replayed == [(0, 0), (1, 10), (2, 20)]
         assert second.restored == 3
         assert second.executed == 0
@@ -149,10 +156,8 @@ class TestConsumeComposition:
         cells = [ValueCell(0), BoomCell(), ValueCell(2)]
         seen = []
         with pytest.raises(CellExecutionError):
-            run_cells(
-                cells, supervisor=NO_RETRY,
-                consume=lambda i, v: seen.append((i, v)),
-            )
+            with execution_context(ExecutionContext(supervisor=NO_RETRY)):
+                run_cells(cells, consume=lambda i, v: seen.append((i, v)))
         # Cell 0 streamed; the failed cell blocks its slot, so cell 2
         # completed but was never handed to the aggregator.
         assert seen == [(0, 0)]

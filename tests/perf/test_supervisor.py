@@ -16,7 +16,7 @@ import pytest
 
 from repro.faults.workers import WORKER_KILL, WORKER_STALL, FaultableCell
 from repro.perf.cells import Cell, MicrobenchCell
-from repro.perf.executor import run_cells
+from repro.perf.executor import ExecutionContext, execution_context, run_cells
 from repro.perf.manifest import RunManifest
 from repro.perf.supervisor import (
     CellExecutionError,
@@ -81,7 +81,7 @@ class TestConfig:
 
 class TestCrashedWorker:
     def test_killed_worker_is_retried_and_output_identical(self, tmp_path):
-        clean = run_cells(_cells(), jobs=1)
+        clean = run_cells(_cells())
         faulted = [
             FaultableCell(
                 inner=cell,
@@ -90,7 +90,8 @@ class TestCrashedWorker:
             )
             for i, cell in enumerate(_cells())
         ]
-        values = run_cells(faulted, jobs=2, supervisor=QUICK)
+        with execution_context(ExecutionContext(jobs=2, supervisor=QUICK)):
+            values = run_cells(faulted)
         assert values == clean
         s = stats()
         assert s.retries >= 1
@@ -99,7 +100,7 @@ class TestCrashedWorker:
         assert s.failed == []
 
     def test_hung_worker_trips_deadline_and_is_retried(self, tmp_path):
-        clean = run_cells(_cells(2), jobs=1)
+        clean = run_cells(_cells(2))
         faulted = [
             FaultableCell(
                 inner=cell,
@@ -110,14 +111,15 @@ class TestCrashedWorker:
             for i, cell in enumerate(_cells(2))
         ]
         config = SupervisorConfig(deadline_s=1.5, backoff_base_s=0.0)
-        values = run_cells(faulted, jobs=2, supervisor=config)
+        with execution_context(ExecutionContext(jobs=2, supervisor=config)):
+            values = run_cells(faulted)
         assert values == clean
         s = stats()
         assert s.timeouts >= 1
         assert s.failed == []
 
     def test_degrades_to_serial_when_pool_unrecoverable(self, tmp_path):
-        clean = run_cells(_cells(2), jobs=1)
+        clean = run_cells(_cells(2))
         faulted = [
             FaultableCell(
                 inner=cell,
@@ -129,7 +131,8 @@ class TestCrashedWorker:
         config = SupervisorConfig(
             deadline_s=30.0, backoff_base_s=0.0, max_pool_rebuilds=0
         )
-        values = run_cells(faulted, jobs=2, supervisor=config)
+        with execution_context(ExecutionContext(jobs=2, supervisor=config)):
+            values = run_cells(faulted)
         assert values == clean
         assert stats().serial_fallbacks == 1
 
@@ -139,7 +142,10 @@ class TestPermanentFailure:
         manifest = RunManifest(tmp_path)
         cells = [_cell(10.0), BoomCell(), _cell(20.0, index=1)]
         with pytest.raises(CellExecutionError) as exc:
-            run_cells(cells, jobs=1, manifest=manifest, supervisor=QUICK)
+            with execution_context(ExecutionContext(
+                manifest=manifest, supervisor=QUICK,
+            )):
+                run_cells(cells)
         assert [label for label, _ in exc.value.failures] == ["boom[0]"]
         counts = manifest.status().counts()
         assert counts["done"] == 2
@@ -152,7 +158,8 @@ class TestPermanentFailure:
     def test_failure_is_bounded_by_max_attempts(self):
         config = SupervisorConfig(backoff_base_s=0.0, max_attempts=2)
         with pytest.raises(CellExecutionError):
-            run_cells([BoomCell()], jobs=1, supervisor=config)
+            with execution_context(ExecutionContext(supervisor=config)):
+                run_cells([BoomCell()])
         assert stats().attempts == 2
 
     def test_timed_out_cell_is_not_retried_inline(self, tmp_path):
@@ -169,8 +176,10 @@ class TestPermanentFailure:
         # rebuilds exhausted the cell must fail rather than hang the
         # supervising process inline.
         with pytest.raises(CellExecutionError) as exc:
-            run_cells([faulted, _cell(99.0, index=7)],
-                      jobs=2, supervisor=config)
+            with execution_context(ExecutionContext(
+                jobs=2, supervisor=config,
+            )):
+                run_cells([faulted, _cell(99.0, index=7)])
         assert any(
             "not retried inline" in error
             for _, error in exc.value.failures
@@ -181,23 +190,29 @@ class TestKillAndResume:
     def test_interrupted_then_resumed_matches_uninterrupted(self, tmp_path):
         cells = _cells(4)
         with sanitize.sanitized():
-            baseline = run_cells(cells, jobs=2, supervisor=QUICK)
+            with execution_context(ExecutionContext(jobs=2, supervisor=QUICK)):
+                baseline = run_cells(cells)
             baseline_counts = sanitize.aggregate_draw_counts()
             baseline_pops = sanitize.total_pops()
         # "Interrupted": only half the sweep completed before the kill.
         interrupted = RunManifest(tmp_path / "run")
         with sanitize.sanitized():
-            run_cells(cells[:2], jobs=2, manifest=interrupted,
-                      supervisor=QUICK)
+            with execution_context(ExecutionContext(
+                jobs=2, manifest=interrupted, supervisor=QUICK,
+            )):
+                run_cells(cells[:2])
         assert interrupted.executed == 2
         # Resume the full sweep: restored + fresh must equal baseline,
         # including the sanitizer's per-stream accounting.
         resumed_manifest = RunManifest(tmp_path / "run")
         with sanitize.sanitized():
-            resumed = run_cells(
-                cells, jobs=2, manifest=resumed_manifest, resume=True,
+            with execution_context(ExecutionContext(
+                jobs=2,
+                manifest=resumed_manifest,
+                resume=True,
                 supervisor=QUICK,
-            )
+            )):
+                resumed = run_cells(cells)
             resumed_counts = sanitize.aggregate_draw_counts()
             resumed_pops = sanitize.total_pops()
         assert resumed == baseline
@@ -208,7 +223,7 @@ class TestKillAndResume:
 
     def test_recovery_after_kill_with_manifest(self, tmp_path):
         cells = _cells(2)
-        clean = run_cells(cells, jobs=1)
+        clean = run_cells(cells)
         manifest = RunManifest(tmp_path / "run")
         faulted = [
             FaultableCell(
@@ -218,8 +233,9 @@ class TestKillAndResume:
             )
             for i, cell in enumerate(cells)
         ]
-        values = run_cells(
-            faulted, jobs=2, manifest=manifest, supervisor=QUICK
-        )
+        with execution_context(ExecutionContext(
+            jobs=2, manifest=manifest, supervisor=QUICK,
+        )):
+            values = run_cells(faulted)
         assert values == clean
         assert manifest.status().complete

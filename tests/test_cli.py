@@ -229,6 +229,12 @@ class TestCrashSafety:
         assert main(["run", "fig5a", "--fast", "--cell-attempts", "0"]) == 2
         assert "--cell-attempts" in capsys.readouterr().err
 
+    def test_negative_chunk_is_usage_error(self, capsys):
+        assert main(["run", "fig5a", "--fast", "--chunk", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "--chunk" in captured.err
+        assert captured.out == ""
+
 
 class TestChaosActions:
     """``repro chaos fuzz|replay|shrink`` front-ends."""
