@@ -35,11 +35,13 @@ kill_and_resume() {
     local pid=$!
     sleep "$KILL_AFTER"
     # The SIGKILLed CLI cannot shut its warm pool down: reap the
-    # orphaned workers too, so they do not outlive the smoke.
+    # orphaned workers too, so they do not outlive the smoke.  Freeze
+    # the CLI first, so it cannot spawn another worker between listing
+    # its children and killing them.
     local workers
+    kill -STOP "$pid" 2>/dev/null
     workers="$(pgrep -P "$pid")"
-    kill -9 "$pid" 2>/dev/null
-    [ -n "$workers" ] && kill -9 $workers 2>/dev/null
+    kill -9 "$pid" $workers 2>/dev/null
     wait "$pid" 2>/dev/null
     set -e
 

@@ -1,18 +1,5 @@
-"""Shared analysis utilities: increase rates and empirical CDFs."""
+"""Shared analysis utilities: increase rates of utilization curves."""
 
-from repro.analysis.cdf import empirical_cdf, fraction_at_value, value_at_fraction
-from repro.analysis.stats import (
-    ConfidenceInterval,
-    bootstrap_mean_ci,
-    means_differ,
-    percentile_band,
-)
-from repro.analysis.sensitivity import (
-    Sensitivity,
-    parameter_sensitivity,
-    render_sensitivity,
-    sensitivity_matrix,
-)
 from repro.analysis.rates import (
     RateSummary,
     fit_slope,
@@ -22,20 +9,9 @@ from repro.analysis.rates import (
 )
 
 __all__ = [
-    "ConfidenceInterval",
     "RateSummary",
-    "Sensitivity",
-    "parameter_sensitivity",
-    "render_sensitivity",
-    "sensitivity_matrix",
-    "bootstrap_mean_ci",
-    "means_differ",
-    "percentile_band",
-    "empirical_cdf",
     "fit_slope",
-    "fraction_at_value",
     "increase_rates",
     "is_convex",
     "summarize_rates",
-    "value_at_fraction",
 ]

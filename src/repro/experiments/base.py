@@ -4,7 +4,7 @@ Every paper artifact (table or figure) is reproduced by one function
 that returns an :class:`ExperimentResult`: the data series the paper
 plots, plus explicit *shape checks* -- the qualitative criteria from
 DESIGN.md section 5 (who wins, by what factor, where plateaus sit).
-The benchmark suite asserts the checks; the CLI renders the series.
+The CLI renders the series and exits nonzero when a check fails.
 """
 
 from __future__ import annotations

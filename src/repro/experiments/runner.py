@@ -2,7 +2,7 @@
 
 ``run("fig2a")`` reproduces one subfigure; ``run_group("fig2")`` a whole
 figure; :data:`ALL_IDS` enumerates the reproduction surface.  ``fast``
-mode shrinks durations/trials for smoke tests; the benchmark suite runs
+mode shrinks durations/trials for smoke tests; ``repro all`` runs
 everything at paper scale.
 """
 

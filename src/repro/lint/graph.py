@@ -39,9 +39,6 @@ WALLCLOCK_CALLS = {
     "datetime.datetime.today", "datetime.date.today",
 }
 
-#: Environment reads (shared with REP009).
-ENV_READS = {"os.getenv", "os.environ"}
-
 #: Codes whose inline noqa sanctions a clock/env read as a funnel --
 #: a suppressed source does not propagate taint (REP101).
 _SOURCE_CODES = frozenset({"REP002", "REP009", "REP101"})

@@ -20,7 +20,6 @@ from repro.models.multi_vm import (
     MultiVMOverheadModel,
     alpha_constant,
     alpha_linear,
-    alpha_quadratic,
 )
 from repro.models.attribution import (
     AttributionReport,
@@ -28,17 +27,6 @@ from repro.models.attribution import (
     attribute_overhead,
 )
 from repro.models.describe import describe_multi_vm, describe_single_vm
-from repro.models.hetero import (
-    HeterogeneousOverheadModel,
-    TypedSample,
-    typed_samples_from_report,
-)
-from repro.models.intervals import (
-    IntervalModel,
-    PredictionInterval,
-    fit_intervals,
-    pessimistic_pm_cpu,
-)
 from repro.models.online import OnlineOverheadModel, RecursiveLeastSquares
 from repro.models.regression import (
     LinearModel,
@@ -48,7 +36,6 @@ from repro.models.regression import (
     fit_ols,
     outlier_fraction,
 )
-from repro.models.residuals import BinBias, bias_by_bin, max_abs_bias, render_bias
 from repro.models.validation import (
     FitQuality,
     cross_validate_multi,
@@ -75,21 +62,10 @@ from repro.models.training import (
 
 __all__ = [
     "AttributionReport",
-    "BinBias",
-    "bias_by_bin",
-    "max_abs_bias",
-    "render_bias",
     "ErrorReport",
     "OverheadShare",
     "attribute_overhead",
     "FitQuality",
-    "HeterogeneousOverheadModel",
-    "IntervalModel",
-    "PredictionInterval",
-    "fit_intervals",
-    "pessimistic_pm_cpu",
-    "TypedSample",
-    "typed_samples_from_report",
     "cross_validate_multi",
     "describe_multi_vm",
     "describe_single_vm",
@@ -107,7 +83,6 @@ __all__ = [
     "TrainingSample",
     "alpha_constant",
     "alpha_linear",
-    "alpha_quadratic",
     "design_matrix",
     "error_report",
     "fit",

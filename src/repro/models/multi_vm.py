@@ -44,11 +44,6 @@ def alpha_constant(n: float) -> float:
     return 1.0 if n > 1 else 0.0
 
 
-def alpha_quadratic(n: float) -> float:
-    """Ablation variant: superlinear colocation overhead."""
-    return (float(n) - 1.0) ** 2
-
-
 class MultiVMOverheadModel:
     """Eq. (3): base coefficients ``a`` plus colocation coefficients ``o``."""
 

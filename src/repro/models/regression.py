@@ -11,8 +11,6 @@ Regression* (JASA 1984).  We implement both:
   standard reweighted-least-squares refinement step.
 
 Both return a :class:`LinearModel` (intercept + coefficient vector).
-The robustness benchmark (`benchmarks/test_bench_ablation.py`) compares
-them under outlier injection.
 """
 
 from __future__ import annotations

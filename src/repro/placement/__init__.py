@@ -3,7 +3,6 @@
 from repro.placement.admission import AdmissionPolicy, LinearOverhead
 from repro.placement.autoscaler import ScalerConfig, VerticalScaler
 from repro.placement.cloudscale import DemandPredictor, PredictorConfig
-from repro.placement.consolidation import ConsolidationPlan, ConsolidationPlanner
 from repro.placement.migration import (
     HotspotDetector,
     MigrationPlanner,
@@ -43,8 +42,6 @@ __all__ = [
     "AUX_CPU_PCT",
     "AdmissionPolicy",
     "LinearOverhead",
-    "ConsolidationPlan",
-    "ConsolidationPlanner",
     "ScalerConfig",
     "VerticalScaler",
     "ExecutorStats",

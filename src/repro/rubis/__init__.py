@@ -6,7 +6,6 @@ from repro.rubis.client import (
     PAPER_CLIENT_COUNTS,
     ClientPopulation,
 )
-from repro.rubis.mixes import BROWSING_MIX, MIXES, get_mix
 from repro.rubis.openloop import OpenLoopArrivals
 from repro.rubis.requests import (
     BIDDING_MIX,
@@ -18,9 +17,6 @@ from repro.rubis.requests import (
 
 __all__ = [
     "BIDDING_MIX",
-    "BROWSING_MIX",
-    "MIXES",
-    "get_mix",
     "ClientPopulation",
     "DEFAULT_THINK_TIME_S",
     "OpenLoopArrivals",

@@ -41,7 +41,6 @@ from repro.serve.service import (
     QueryAnswer,
     ServiceConfig,
     ServiceStats,
-    VERDICTS,
 )
 from repro.serve.swarm import SwarmConfig, SwarmReport, run_swarm
 from repro.serve.wal import SampleWAL, WalRecord
@@ -59,7 +58,6 @@ __all__ = [
     "ServiceStats",
     "SwarmConfig",
     "SwarmReport",
-    "VERDICTS",
     "WalRecord",
     "run_swarm",
 ]

@@ -71,14 +71,6 @@ VERDICT_STALE = "stale"
 VERDICT_QUARANTINED = "quarantined"
 VERDICT_INVALID = "invalid"
 VERDICT_SHED = "shed"
-VERDICTS = (
-    VERDICT_ACCEPTED,
-    VERDICT_DUPLICATE,
-    VERDICT_STALE,
-    VERDICT_QUARANTINED,
-    VERDICT_INVALID,
-    VERDICT_SHED,
-)
 
 #: Query statuses.
 QUERY_OK = "ok"

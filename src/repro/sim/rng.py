@@ -62,12 +62,11 @@ class RngRegistry:
 def generator_from_seed(seed) -> np.random.Generator:
     """The one sanctioned way to build a generator from a bare seed.
 
-    Analysis helpers that take a user-supplied seed (bootstrap
-    resampling, scenario synthesis, LMS subset draws) route their
-    construction through here so ``repro lint``'s REP007 rule can
-    guarantee no component mints generators ad hoc.  ``seed`` accepts
-    anything ``numpy.random.default_rng`` does (int, SeedSequence,
-    None for OS entropy -- the latter only in explicitly
-    non-reproducible tooling).
+    Analysis helpers that take a user-supplied seed (scenario
+    synthesis, LMS subset draws) route their construction through here
+    so ``repro lint``'s REP007 rule can guarantee no component mints
+    generators ad hoc.  ``seed`` accepts anything
+    ``numpy.random.default_rng`` does (int, SeedSequence, None for OS
+    entropy -- the latter only in explicitly non-reproducible tooling).
     """
     return np.random.default_rng(seed)

@@ -1,12 +1,10 @@
 """Time-series plumbing: trace containers and file round-tripping."""
 
 from repro.traces.io import load_csv, load_json, save_csv, save_json
-from repro.traces import synth
 from repro.traces.trace import Trace, TraceSet
 
 __all__ = [
     "Trace",
-    "synth",
     "TraceSet",
     "load_csv",
     "load_json",

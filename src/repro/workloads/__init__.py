@@ -3,7 +3,6 @@
 from repro.workloads.base import DynamicWorkload, Workload
 from repro.workloads.legacy import HttperfLoad, IperfLoad, resource_purity
 from repro.workloads.lookbusy import IO_HOG_CPU_PCT, CpuHog, IoHog, MemHog
-from repro.workloads.replay import TraceReplay, replay_onto_vm, value_at
 from repro.workloads.netload import (
     INTRA_PM_PACKET_KB,
     PING_BASE_CPU_PCT,
@@ -40,9 +39,6 @@ __all__ = [
     "MemHog",
     "PING_BASE_CPU_PCT",
     "PingLoad",
-    "TraceReplay",
-    "replay_onto_vm",
-    "value_at",
     "TABLE_II",
     "Workload",
     "intensity_levels",

@@ -33,7 +33,6 @@ from repro.xen.machine import (
     VmUtilization,
 )
 from repro.xen.network import Flow, external_host
-from repro.xen.sedf import SedfScheduler, SedfVcpu
 from repro.xen.scheduler import (
     CreditScheduler,
     fair_share,
@@ -56,8 +55,6 @@ __all__ = [
     "PhysicalNic",
     "ResourceDemand",
     "ResourceGrant",
-    "SedfScheduler",
-    "SedfVcpu",
     "UsageMeter",
     "UsageRecord",
     "VMSpec",

@@ -1,20 +1,15 @@
-"""Tests for increase-rate and CDF analysis utilities."""
+"""Tests for the increase-rate analysis utilities."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.analysis import (
-    empirical_cdf,
     fit_slope,
-    fraction_at_value,
     increase_rates,
     is_convex,
     summarize_rates,
-    value_at_fraction,
 )
 
 
@@ -85,36 +80,3 @@ class TestConvexity:
         with pytest.raises(ValueError):
             is_convex([1.0, 2.0])
 
-
-class TestCdfHelpers:
-    def test_empirical_cdf(self):
-        vals, frac = empirical_cdf([3.0, 1.0, 2.0, 4.0])
-        np.testing.assert_array_equal(vals, [1, 2, 3, 4])
-        np.testing.assert_allclose(frac, [25, 50, 75, 100])
-
-    def test_value_at_fraction(self):
-        vals = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert value_at_fraction(vals, 90.0) == 5.0
-        assert value_at_fraction(vals, 40.0) == 2.0
-        with pytest.raises(ValueError):
-            value_at_fraction(vals, 0.0)
-        with pytest.raises(ValueError):
-            value_at_fraction(vals, 101.0)
-
-    def test_fraction_at_value(self):
-        vals = [1.0, 2.0, 3.0, 4.0]
-        assert fraction_at_value(vals, 2.5) == pytest.approx(50.0)
-        assert fraction_at_value(vals, 0.0) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-        with pytest.raises(ValueError):
-            fraction_at_value([], 1.0)
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=100)
-    )
-    def test_fraction_and_value_are_inverse_ish(self, values):
-        v90 = value_at_fraction(values, 90.0)
-        assert fraction_at_value(values, v90) >= 90.0 - 1e-9

@@ -1,8 +1,8 @@
 """Fast-mode smoke tests for every table/figure reproduction.
 
 These run every experiment at reduced scale and assert the paper's
-shape criteria still hold; the benchmark suite repeats them at full
-paper scale.
+shape criteria still hold; ``repro all`` repeats them at full paper
+scale.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.extras import run_memconst, run_toolover
+from repro.experiments.extras import run_memconst, run_pmconsist, run_toolover
 from repro.experiments.runner import run
 
 
@@ -34,6 +34,12 @@ class TestToolover:
         dom0 = next(s for s in result.series if s.label == "dom0.cpu")
         clean, unified, naive = dom0.y
         assert clean < unified < naive
+
+
+class TestPmconsist:
+    def test_passes_fast(self):
+        result = run_pmconsist(duration=12.0)
+        assert result.passed, [c.render() for c in result.failed_checks()]
 
 
 class TestRegistryIntegration:

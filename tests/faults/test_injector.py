@@ -117,17 +117,20 @@ class TestFaultInjector:
             inj.arm()
 
     def test_monitor_gap_during_pm_outage(self):
-        from repro.monitor import ClusterMonitor
+        from repro.monitor import MeasurementScript
 
         cl = make_cluster()
         inject(cl, [FaultEvent(5.0, KIND_PM_CRASH, "pm1", 6.0)])
-        mon = ClusterMonitor(cl)
-        reports = mon.run(20.0)
-        assert mon.gap_counts()["pm1"] > 0
-        assert mon.gap_counts()["pm2"] == 0
+        scripts = {name: MeasurementScript(pm) for name, pm in cl.pms.items()}
+        for script in scripts.values():
+            script.start()
+        cl.run(20.0)
+        reports = {name: s.stop() for name, s in scripts.items()}
+        assert scripts["pm1"].gap_samples > 0
+        assert scripts["pm2"].gap_samples == 0
         rep = reports["pm1"]
         assert rep.validity is not None
-        assert rep.n_gaps() == mon.gap_counts()["pm1"]
+        assert rep.n_gaps() == scripts["pm1"].gap_samples
         # Lengths stay aligned with the healthy PM.
         assert len(rep.series("dom0", "cpu").times) == len(
             reports["pm2"].series("dom0", "cpu").times

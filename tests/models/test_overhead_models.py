@@ -29,7 +29,7 @@ from repro.sim import Simulator
 from repro.workloads import CpuHog, PingLoad
 from repro.xen import PhysicalMachine, VMSpec
 
-# Short sweeps keep the test suite fast; the benchmarks run the full
+# Short sweeps keep the test suite fast; ``repro all`` runs the full
 # 120 s / 1-2-4-VM grids.
 FAST_SINGLE = TrainingConfig(vm_counts=(1,), duration=15.0, warmup=2.0)
 FAST_MULTI = TrainingConfig(vm_counts=(1, 2), duration=15.0, warmup=2.0)
@@ -149,6 +149,33 @@ class TestMultiVMModel:
         assert alpha_linear(4) == 3.0
         assert alpha_constant(1) == 0.0
         assert alpha_constant(4) == 1.0
+
+    def test_linear_alpha_is_adequate_on_held_out_three_vms(self):
+        # The paper assumes alpha(N) linear in N.  Trained on 1/2/4 VMs
+        # and scored on an unseen 3-VM mix, the linear form predicts
+        # Dom0 CPU well and does not lose to a constant alpha.
+        train = gather_training_samples(
+            TrainingConfig(vm_counts=(1, 2, 4), duration=40.0, warmup=3.0)
+        )
+        sim = Simulator(seed=404)
+        pm = PhysicalMachine(sim, name="pm1")
+        vms = [pm.create_vm(VMSpec(name=f"vm{k}")) for k in range(3)]
+        CpuHog(40.0).attach(vms[0])
+        CpuHog(25.0).attach(vms[1])
+        PingLoad(900.0).attach(vms[2])
+        pm.start()
+        sim.run_until(3.0)
+        held_out = samples_from_report(MeasurementScript(pm).run(duration=60.0))
+        measured = np.array([s.targets["dom0.cpu"] for s in held_out])
+
+        def p90(alpha):
+            model = MultiVMOverheadModel.fit(train, alpha=alpha)
+            pred = model.predict_samples(held_out)["dom0.cpu"]
+            return error_report(pred, measured).p90
+
+        linear = p90(alpha_linear)
+        assert linear < 10.0
+        assert linear <= p90(alpha_constant) + 1.0
 
     def test_predicts_held_out_two_vm_mix(self, multi_model):
         # Mixed workload (CPU hog + network load), never in training.

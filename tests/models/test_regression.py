@@ -23,6 +23,19 @@ def planted_problem(rng, n=200, coef=(2.0, -1.5, 0.5), intercept=3.0, noise=0.0)
     return X, y
 
 
+def overhead_problem(outlier_frac):
+    """A Dom0-CPU-shaped fit (intercept 16.8, small per-resource
+    slopes) whose first ``outlier_frac`` targets are pushed up by
+    30-80 points, the size of a monitoring glitch."""
+    rng = np.random.default_rng(12)
+    X = rng.uniform(0, 100, size=(400, 4))
+    coef = np.array([0.12, 0.0, 0.004, 0.01])
+    y = 16.8 + X @ coef + rng.normal(0, 0.3, 400)
+    n_out = int(outlier_frac * len(y))
+    y[:n_out] += rng.uniform(30, 80, n_out)
+    return X, y, coef
+
+
 class TestLinearModel:
     def test_predict_vector_and_matrix(self):
         m = LinearModel(intercept=1.0, coef=[2.0, 3.0])
@@ -63,6 +76,17 @@ class TestOls:
         y = 2.0 * X[:, 0] + 1.0
         m = fit_ols(X, y)
         np.testing.assert_allclose(m.predict(X), y, atol=1e-8)
+
+    def test_beats_lms_on_clean_overhead_data(self):
+        # OLS is the efficient estimator on clean data; LMS (with its
+        # least-squares polish) comes close but does not win.
+        X, y, coef = overhead_problem(0.0)
+        ols_err = np.abs(fit_ols(X, y).coef - coef).max()
+        lms = fit_lms(X, y, rng=np.random.default_rng(0), n_subsets=200)
+        lms_err = np.abs(lms.coef - coef).max()
+        assert ols_err < 0.005
+        assert lms_err < 0.02
+        assert ols_err < lms_err
 
     @pytest.mark.parametrize(
         "X,y",
@@ -112,6 +136,14 @@ class TestLms:
         ols_err = np.abs(np.asarray(ols.coef) - [2.0, -1.5, 0.5]).max()
         assert lms_err < 0.1
         assert ols_err > 5 * lms_err
+
+    def test_beats_ols_at_30_percent_outliers_on_overhead_data(self):
+        X, y, coef = overhead_problem(0.3)
+        lms = fit_lms(X, y, rng=np.random.default_rng(0), n_subsets=400)
+        lms_err = np.abs(lms.coef - coef).max()
+        ols_err = np.abs(fit_ols(X, y).coef - coef).max()
+        assert lms_err < 0.01
+        assert ols_err > 3 * lms_err
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError, match="at least"):

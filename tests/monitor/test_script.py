@@ -68,6 +68,11 @@ class TestMeasurementScript:
         noisy = MeasurementScript(pm).run(duration=120.0)
         # 120-sample mean is within 0.5 % of truth.
         assert noisy.mean("vm0", "cpu") == pytest.approx(90.3, rel=0.005)
+        # The sampling adds noise, not bias: Dom0's mean matches the
+        # machine's converged analytic state.
+        assert noisy.mean("dom0", "cpu") == pytest.approx(
+            pm.snapshot().dom0_cpu_pct, rel=0.01
+        )
 
     def test_bw_measurement(self):
         sim, pm, vms = make_setup()

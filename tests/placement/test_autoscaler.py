@@ -64,8 +64,10 @@ class TestVerticalScaler:
         pm.start()
         scaler.start()
         sim.run_until(30.0)
-        # Despite the cap, the guest still receives its full demand.
+        # Despite the cap, the guest still receives its full demand, and
+        # 35+ points of a static 100 % reservation are freed.
         assert pm.snapshot().vm("vm0").cpu_pct == pytest.approx(50.3, abs=1.0)
+        assert scaler.current_caps()["vm0"] < 65.0
 
     def test_caps_follow_a_ramp(self, model):
         sim, pm, vms = make_pm()

@@ -1,13 +1,17 @@
-"""Every ``repro.<subpackage>`` imports on its own.
+"""Every ``repro.<subpackage>`` imports on its own, without scipy.
 
 An import cycle between subpackages stays hidden as long as something
 else imports the cycle's modules in a lucky order first (the CLI and
 the test suite both import ``repro`` broadly).  This test starts a
 fresh interpreter and imports each subpackage from a state where no
 ``repro`` module is loaded: third-party modules stay cached between
-subpackages, so the check costs one numpy/scipy import, not one per
+subpackages, so the check costs one numpy import, not one per
 subpackage, while the ``repro`` module graph is walked from scratch
 every time.
+
+Once every subpackage is imported, scipy must not be loaded: the
+package depends on numpy alone, and a ``scipy.stats`` import would
+cost about a second of every ``repro`` start-up.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ for name in sys.argv[1:]:
         importlib.import_module(name)
     except Exception:
         failed.append(name + ": " + traceback.format_exc().splitlines()[-1])
+if "scipy" in sys.modules:
+    failed.append("scipy was imported")
 print("\\n".join(failed))
 sys.exit(1 if failed else 0)
 """

@@ -208,3 +208,15 @@ class TestFairShare:
 
     def test_empty(self):
         assert fair_share([], 100) == []
+
+    def test_strands_dom0_slice_on_paper_scenario(self):
+        # Two saturated guests plus Dom0 (23.4) share what the
+        # hypervisor (12) leaves of 225 points.  Water-fill hands Dom0's
+        # unused share to the guests (the paper's 95 %); an equal split
+        # strands it and misses the anchor.
+        demands = [100.0, 100.0, 23.4]
+        wf = weighted_water_fill(demands, [1, 1, 1], 225.0 - 12.0)
+        fs = fair_share(demands, 225.0 - 12.0)
+        assert wf[0] == pytest.approx(94.8, abs=0.5)
+        assert fs[0] == pytest.approx(71.0, abs=0.5)
+        assert sum(fs) < sum(wf) - 40.0
