@@ -75,12 +75,15 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional
 
 from repro.experiments import runner
 from repro.experiments.base import ExperimentResult
 from repro.lint import cli as lint_cli
+from repro.obs import runtime as obs_runtime
+from repro.obs.export import write_obs_dir
 from repro.sim import sanitize
 
 #: Default cache location of ``repro cache`` when ``--cache-dir`` is
@@ -532,6 +535,25 @@ def _main(argv: Optional[List[str]] = None) -> int:
 EXIT_CELLS_FAILED = 3
 
 
+def _collecting(obs_dir: Optional[Path]):
+    """Scoped collector for ``--obs-dir``; yields ``None`` without it."""
+    if obs_dir is None:
+        return nullcontext()
+    return obs_runtime.collecting()
+
+
+def _export_obs(collector, obs_dir: Path) -> None:
+    """Write ``--obs-dir`` and note what it holds on stderr."""
+    summary = write_obs_dir(collector, obs_dir)
+    print(
+        f"observability: wrote {obs_dir} "
+        f"({summary['spans']} span(s), "
+        f"{summary['series']} series; "
+        f"sources: {', '.join(summary['span_sources']) or '-'})",
+        file=sys.stderr,
+    )
+
+
 def _supervisor_config(args: argparse.Namespace):
     """Build the supervisor config from the CLI knobs."""
     from repro.perf.supervisor import SupervisorConfig
@@ -587,23 +609,19 @@ def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
         manifest = RunManifest(run_dir, store=cache)
         manifest.open_run(raw_argv, resumed=resume_dir is not None)
         args._manifest = manifest
-    collector = None
-    if obs_dir is not None:
-        from repro.obs import runtime as obs_runtime
-
-        collector = obs_runtime.install(obs_runtime.ObsCollector())
-        obs_runtime.set_default(True)
     reset_stats()
     failed_cells = None
     try:
-        with execution_context(ExecutionContext(
-            jobs=1 if jobs is None else jobs,
-            chunk=chunk or 0,
-            cache=cache,
-            manifest=manifest,
-            resume=resume_dir is not None,
-            supervisor=supervisor,
-        )):
+        with _collecting(obs_dir) as collector, execution_context(
+            ExecutionContext(
+                jobs=1 if jobs is None else jobs,
+                chunk=chunk or 0,
+                cache=cache,
+                manifest=manifest,
+                resume=resume_dir is not None,
+                supervisor=supervisor,
+            )
+        ):
             try:
                 code = _dispatch(args)
             except CellExecutionError as exc:
@@ -615,20 +633,8 @@ def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
         from repro.perf import pool as warm_pool
 
         warm_pool.shutdown_pool()
-        if collector is not None:
-            obs_runtime.set_default(False)
-            obs_runtime.uninstall()
     if collector is not None:
-        from repro.obs.export import write_obs_dir
-
-        obs_summary = write_obs_dir(collector, obs_dir)
-        print(
-            f"observability: wrote {obs_dir} "
-            f"({obs_summary['spans']} span(s), "
-            f"{obs_summary['series']} series; "
-            f"sources: {', '.join(obs_summary['span_sources']) or '-'})",
-            file=sys.stderr,
-        )
+        _export_obs(collector, obs_dir)
     supervision = stats()
     if supervision.retries or supervision.failed:
         print(supervision.summary(), file=sys.stderr)
@@ -849,18 +855,12 @@ def _serve_run(args: argparse.Namespace, service_config) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    collector = None
-    if args.obs_dir is not None:
-        from repro.obs import runtime as obs_runtime
-
-        collector = obs_runtime.install(obs_runtime.ObsCollector())
-        obs_runtime.set_default(True)
     # Supervised drive: a transient failure (filesystem hiccup, OOM
     # kill of a child) retries with the PR-4 backoff schedule -- the WAL
     # makes every retry a resume, so attempts converge, never diverge.
     supervisor = SupervisorConfig(max_attempts=max(1, args.retries))
     attempt = 0
-    try:
+    with _collecting(args.obs_dir) as collector:
         while True:
             try:
                 report = run_swarm(
@@ -886,23 +886,8 @@ def _serve_run(args: argparse.Namespace, service_config) -> int:
                     file=sys.stderr,
                 )
                 _backoff_sleep(delay)
-    finally:
-        if collector is not None:
-            from repro.obs import runtime as obs_runtime
-
-            obs_runtime.set_default(False)
-            obs_runtime.uninstall()
     if collector is not None:
-        from repro.obs.export import write_obs_dir
-
-        obs_summary = write_obs_dir(collector, args.obs_dir)
-        print(
-            f"observability: wrote {args.obs_dir} "
-            f"({obs_summary['spans']} span(s), "
-            f"{obs_summary['series']} series; "
-            f"sources: {', '.join(obs_summary['span_sources']) or '-'})",
-            file=sys.stderr,
-        )
+        _export_obs(collector, args.obs_dir)
     print(report.render())
     return 0
 

@@ -311,11 +311,13 @@ class MeasurementScript:
         reference path.
 
         The fast plan applies only to *clean* ticks -- no fault model,
-        no tool-failure probability, PM up, observability off, fast path
-        enabled.  Anything else (including a crashed PM mid-run) routes
-        through the reference implementation, whose gap/carry-forward
-        machinery appends to the very same sample lists.
+        no tool-failure probability, PM up, fast path enabled; whether
+        observability is installed does not choose the path.  Anything
+        else (including a crashed PM mid-run) routes through the
+        reference implementation, whose gap/carry-forward machinery
+        appends to the very same sample lists.
         """
+        _obs.inc("repro_monitor_ticks_total", pm=self.pm.name)
         if (
             self._faults is None
             and self._failure_prob == 0.0  # repro: noqa[REP004] exact "no failures configured" sentinel
@@ -325,7 +327,6 @@ class MeasurementScript:
             # this way) must keep being called.
             and not any("read" in t.__dict__ for t in self._tools)
             and not _fastpath.slowpath_enabled()
-            and _obs.installed() is None
         ):
             self._sample_fast(now)
             return
@@ -449,7 +450,6 @@ class MeasurementScript:
     def _sample_slow(self, now: float) -> None:
         snap = self.pm.snapshot()
         self._times.append(now)
-        _obs.inc("repro_monitor_ticks_total", pm=self.pm.name)
         if self.pm.failed:
             # A crashed PM cannot run any tool: the whole tick is a gap
             # (no RNG is consumed, so recovery re-syncs deterministically).

@@ -1,11 +1,10 @@
 """Deterministic-safe observability: metrics, spans, exporters.
 
 The paper is a profiling study; this package lets the reproduction
-profile *itself* without perturbing it.  It follows the same contract
-as :class:`repro.sim.tracing.SimTracer`: **nothing is recorded unless a
-collector is installed**, so instrumented hot paths cost one global
-read when observability is off and runs stay byte-identical to an
-uninstrumented build.
+profile *itself* without perturbing it: **nothing is recorded unless a
+collector is installed**, and an installed collector only listens --
+no component branches on it -- so observed and unobserved runs take
+the same code path and stay byte-identical.
 
 Three layers:
 
@@ -41,12 +40,10 @@ from repro.obs.registry import (
 from repro.obs.runtime import (
     ObsCollector,
     collecting,
-    default_enabled,
     inc,
     install,
     installed,
     observe,
-    set_default,
     set_gauge,
     span,
     uninstall,
@@ -63,7 +60,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "collecting",
-    "default_enabled",
     "inc",
     "install",
     "installed",
@@ -72,7 +68,6 @@ __all__ = [
     "parse_spans_jsonl",
     "render_openmetrics",
     "render_spans_jsonl",
-    "set_default",
     "set_gauge",
     "span",
     "uninstall",

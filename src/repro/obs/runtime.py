@@ -2,16 +2,16 @@
 
 Components never hold a registry; they call the module-level helpers
 (:func:`inc`, :func:`set_gauge`, :func:`observe`, :func:`span`), which
-are cheap no-ops unless a collector is :func:`install`-ed -- the exact
-zero-overhead-when-uninstalled contract of
-:class:`repro.sim.tracing.SimTracer`, made process-wide the way
-:mod:`repro.sim.sanitize` publishes its default.
+are cheap no-ops unless a collector is :func:`install`-ed.  The helpers
+only listen: no component asks whether a collector is installed to
+choose which code runs, so an observed run takes the same path as an
+unobserved one.
 
-``default_enabled`` / ``set_default`` carry the *intent* to collect
-across process boundaries: a pool worker that sees the flag installs
-its own scoped collector around each cell, snapshots it into the
-outcome, and the parent merges the snapshot -- so ``--jobs N`` runs
-report the same metrics a serial run would.
+Whether a run collects is simply ``installed() is not None``.  The cell
+executor ships that flag to its pool workers, which run each cell under
+a scoped collector, snapshot it into the outcome, and let the parent
+merge the snapshot -- so ``--jobs N`` runs report the same metrics a
+serial run would.
 
 This module is the package's sanctioned wall-clock reader for
 diagnostics: :func:`wall_now` is the REP011-audited funnel every span
@@ -45,16 +45,9 @@ def wall_now() -> float:
 class ObsCollector:
     """One metrics registry plus one span recorder."""
 
-    def __init__(
-        self,
-        *,
-        span_capacity: int = 10_000,
-        source_filter=None,
-    ) -> None:
+    def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self.spans = SpanRecorder(
-            capacity=span_capacity, source_filter=source_filter
-        )
+        self.spans = SpanRecorder()
 
     def record_span(self, span: Span) -> None:
         """Record a finished span and its wall duration histogram."""
@@ -89,7 +82,6 @@ class ObsCollector:
 # --------------------------------------------------------------------------
 
 _collector: Optional[ObsCollector] = None
-_default_enabled = False
 
 
 def install(collector: Optional[ObsCollector] = None) -> ObsCollector:
@@ -110,31 +102,18 @@ def uninstall() -> None:
     _collector = None
 
 
-def default_enabled() -> bool:
-    """Whether runs should collect (``--obs-dir``); workers inherit it."""
-    return _default_enabled
-
-
-def set_default(enabled: bool) -> None:
-    """Set the process-wide collection intent."""
-    global _default_enabled
-    _default_enabled = bool(enabled)
-
-
 @contextmanager
 def collecting(
     collector: Optional[ObsCollector] = None,
 ) -> Iterator[ObsCollector]:
-    """Scoped install: collector + default flag on entry, restored on exit."""
+    """Scoped install: the previous collector (or none) returns on exit."""
     global _collector
-    previous, previous_default = _collector, _default_enabled
+    previous = _collector
     active = install(collector)
-    set_default(True)
     try:
         yield active
     finally:
         _collector = previous
-        set_default(previous_default)
 
 
 # --------------------------------------------------------------------------

@@ -3,21 +3,22 @@
 A :class:`Span` is one timed region of work -- a simulator run, a cell
 execution, a monitor window, a placement round -- stamped with
 wall-clock start/end always and sim-clock start/end when a simulator
-was in scope.  :class:`SpanRecorder` keeps a bounded, filterable log of
-finished spans under exactly the contract of
-:class:`repro.sim.tracing.SimTracer`: bounded capacity with
-oldest-first eviction, optional source filtering, and counters that
-keep running regardless.
+was in scope.  :class:`SpanRecorder` keeps a bounded log of finished
+spans: oldest-first eviction, and counters that keep running
+regardless.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
+
+#: Spans a recorder retains by default (oldest dropped first).
+SPAN_CAPACITY = 10_000
 
 
 @dataclass(frozen=True)
@@ -94,22 +95,13 @@ class SpanRecorder:
     ----------
     capacity:
         Maximum retained spans (oldest dropped first).
-    source_filter:
-        Optional predicate on the source label; spans from filtered-out
-        sources are not recorded.
     """
 
-    def __init__(
-        self,
-        *,
-        capacity: int = 10_000,
-        source_filter: Optional[Callable[[str], bool]] = None,
-    ) -> None:
+    def __init__(self, *, capacity: int = SPAN_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._spans: Deque[Span] = deque(maxlen=capacity)
-        self._filter = source_filter
-        #: Total recorded attempts (including dropped and filtered).
+        #: Total recorded attempts (including dropped ones).
         self.emitted = 0
         #: Recorded but later evicted by the capacity bound.
         self.dropped = 0
@@ -118,12 +110,10 @@ class SpanRecorder:
         return len(self._spans)
 
     def record(self, span: Span) -> None:
-        """Append one finished span (subject to filter and capacity)."""
+        """Append one finished span (subject to capacity)."""
         if not span.source:
             raise ValueError("source must be non-empty")
         self.emitted += 1
-        if self._filter is not None and not self._filter(span.source):
-            return
         if len(self._spans) == self._spans.maxlen:
             self.dropped += 1
         self._spans.append(span)

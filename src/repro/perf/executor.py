@@ -183,28 +183,26 @@ def _plain_execute(cell: Cell) -> CellOutcome:
     return CellOutcome(value=value, events=events)
 
 
-def _execute_cell(cell: Cell) -> CellOutcome:
+def _execute_cell(
+    cell: Cell, collect: Optional[bool] = None
+) -> CellOutcome:
     """Run one cell in the current process.
 
-    With observability enabled the cell runs under its own scoped
-    collector -- in a pool worker *and* inline -- so every outcome
-    carries exactly its cell's snapshot and the parent merges them
-    identically on both paths (and on cache/checkpoint replays).
+    When the run collects, the cell runs under its own scoped collector
+    -- in a pool worker *and* inline -- so every outcome carries exactly
+    its cell's snapshot and the parent merges them identically on both
+    paths (and on cache/checkpoint replays).  A pool worker passes the
+    obs flag of the context its pool ships; an inline cell collects
+    whenever a collector is installed.
     """
-    if not obs.default_enabled():
+    if collect is None:
+        collect = obs.installed() is not None
+    if not collect:
         return _plain_execute(cell)
-    previous = obs.installed()
-    child = obs.install(obs.ObsCollector())
-    try:
-        with obs.span(
-            "executor.cell", "executor", cell=cell.label(), group=cell.group
-        ):
-            outcome = _plain_execute(cell)
-    finally:
-        if previous is not None:
-            obs.install(previous)
-        else:
-            obs.uninstall()
+    with obs.collecting() as child, obs.span(
+        "executor.cell", "executor", cell=cell.label(), group=cell.group
+    ):
+        outcome = _plain_execute(cell)
     outcome.obs = child.snapshot()
     return outcome
 
@@ -214,14 +212,11 @@ def _pool_worker(
 ) -> CellOutcome:
     """Top-level worker entry point (must be picklable by name)."""
     previous = sanitize.default_enabled()
-    previous_obs = obs.default_enabled()
     sanitize.set_default(sanitize_enabled)
-    obs.set_default(obs_enabled)
     try:
-        return _execute_cell(cell)
+        return _execute_cell(cell, obs_enabled)
     finally:
         sanitize.set_default(previous)
-        obs.set_default(previous_obs)
 
 
 def _chunk_worker(cells: Sequence[Cell]) -> List[CellOutcome]:
@@ -235,11 +230,8 @@ def _chunk_worker(cells: Sequence[Cell]) -> List[CellOutcome]:
     """
     context = warmpool.worker_context()
     if context is None:
-        context = (sanitize.default_enabled(), obs.default_enabled())
-    sanitize_enabled, obs_enabled = context
-    return [
-        _pool_worker(cell, sanitize_enabled, obs_enabled) for cell in cells
-    ]
+        context = (sanitize.default_enabled(), obs.installed() is not None)
+    return [_pool_worker(cell, *context) for cell in cells]
 
 
 def _merge_accounting(outcome: CellOutcome) -> None:
@@ -330,7 +322,7 @@ def run_cells(
     manifest = ctx.manifest
     phase_name = phase or cells[0].group
 
-    context = (sanitize.default_enabled(), obs.default_enabled())
+    context = (sanitize.default_enabled(), obs.installed() is not None)
     if jobs > 1 and len(cells) > 1:
         # Spin the warm pool up now so worker start-up overlaps the
         # cache/checkpoint probe below (probe first, submit only the

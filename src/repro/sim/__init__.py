@@ -22,7 +22,6 @@ from repro.sim.events import Event, EventQueue
 from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngRegistry, generator_from_seed
 from repro.sim.sanitize import SanitizerError, SanitizerHooks, sanitized
-from repro.sim.tracing import SimTracer, TraceEvent
 
 __all__ = [
     "Event",
@@ -31,10 +30,8 @@ __all__ = [
     "RngRegistry",
     "SanitizerError",
     "SanitizerHooks",
-    "SimTracer",
     "SimulationError",
     "Simulator",
-    "TraceEvent",
     "generator_from_seed",
     "sanitized",
 ]

@@ -173,10 +173,6 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until t={t_end:.6f} < now={self._now:.6f}"
             )
-        if _obs.installed() is None:
-            self._drain(t_end)
-            self._now = t_end
-            return
         before = self.dispatched
         with _obs.span("sim.run_until", "sim", sim=self):
             self._drain(t_end)
@@ -235,9 +231,6 @@ class Simulator:
         """Run until the event queue is exhausted."""
         if self._running:
             raise SimulationError("run is not re-entrant")
-        if _obs.installed() is None:
-            self._exhaust()
-            return
         before = self.dispatched
         with _obs.span("sim.run", "sim", sim=self):
             self._exhaust()

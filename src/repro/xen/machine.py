@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.obs import runtime as _obs
 from repro.sim import fastpath as _fastpath
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
@@ -114,7 +113,6 @@ class PhysicalMachine:
         self._proc: Optional[PeriodicProcess] = None
         self._pm_io_bps = self.cal.pm_io_floor_bps
         self._pm_bw_kbps = self.cal.pm_bw_floor_kbps
-        self._quanta = 0
         #: Steady-state quantum memo: ``True`` when the grant feedback
         #: reached its fixed point at state-clock ``_steady_version``.
         self._steady = False
@@ -241,20 +239,18 @@ class PhysicalMachine:
     def _tick(self, _now: float) -> None:
         if self.failed:
             return
-        self._quanta += 1
         # Steady-state memo: when no scheduler-visible input changed
         # since the grant feedback reached its fixed point, this quantum
-        # recomputes bit-identical state -- skip it.  Disabled under
-        # REPRO_SIM_SLOWPATH (reference behaviour) and when observability
-        # is installed (the water-fill counters must keep counting).
-        # The guard reads the module globals directly: three function
+        # recomputes bit-identical state -- skip it.  Disabled only under
+        # REPRO_SIM_SLOWPATH (reference behaviour); observation never
+        # chooses the path, so the water-fill counters count computed
+        # quanta.  The guard reads the module globals directly: function
         # calls per 30 ms quantum are measurable at paper scale.
         version = stateclock._version
         if (
             self._steady
             and version == self._steady_version
             and not _fastpath._slowpath
-            and _obs._collector is None
         ):
             return
         cal = self.cal

@@ -1,10 +1,9 @@
-"""The SimTracer <-> SpanRecorder shared contract.
+"""The SpanRecorder contract and the uninstalled-is-silent contract.
 
-Both logs promise: bounded capacity with oldest-first eviction,
-``emitted``/``dropped`` counters that keep running, optional source
-filtering, empty-source rejection, and -- at the instrumentation layer
--- that nothing whatsoever is recorded when no sink is installed.
-The parametrized backends keep the two implementations from drifting.
+The span log promises bounded capacity with oldest-first eviction,
+``emitted``/``dropped`` counters that keep running, and empty-source
+rejection; at the instrumentation layer, nothing whatsoever is
+recorded when no collector is installed.
 """
 
 from __future__ import annotations
@@ -13,90 +12,36 @@ import pytest
 
 from repro.obs import runtime
 from repro.obs.spans import Span, SpanRecorder
-from repro.sim import SimTracer, Simulator
 
 
-class TracerBackend:
-    """SimTracer: events stamped with the simulation clock."""
-
-    name = "simtracer"
-
-    def make(self, **kw):
-        self.sim = Simulator(seed=1)
-        return SimTracer(self.sim, **kw)
-
-    def emit(self, log, source="src", tag="m"):
-        log.emit(source, tag)
-
-    def entries(self, log, source=None):
-        return log.events(source=source)
-
-    def tag(self, entry):
-        return entry.message
+def _emit(log, source="src", tag="m"):
+    log.record(Span(name=tag, source=source, wall_start=0.0, wall_end=1.0))
 
 
-class RecorderBackend:
-    """SpanRecorder: finished spans stamped with wall (and sim) clocks."""
-
-    name = "spanrecorder"
-
-    def make(self, **kw):
-        return SpanRecorder(**kw)
-
-    def emit(self, log, source="src", tag="m"):
-        log.record(
-            Span(
-                name=tag, source=source, wall_start=0.0, wall_end=1.0
-            )
-        )
-
-    def entries(self, log, source=None):
-        return log.spans(source=source)
-
-    def tag(self, entry):
-        return entry.name
-
-
-@pytest.fixture(params=[TracerBackend, RecorderBackend], ids=lambda c: c.name)
-def backend(request):
-    return request.param()
-
-
-class TestSharedContract:
-    def test_bounded_capacity_drops_oldest(self, backend):
-        log = backend.make(capacity=3)
+class TestSpanRecorderContract:
+    def test_bounded_capacity_drops_oldest(self):
+        log = SpanRecorder(capacity=3)
         for i in range(5):
-            backend.emit(log, tag=str(i))
+            _emit(log, tag=str(i))
         assert len(log) == 3
         assert log.emitted == 5
         assert log.dropped == 2
-        assert [backend.tag(e) for e in backend.entries(log)] == [
-            "2", "3", "4",
-        ]
+        assert [s.name for s in log.spans()] == ["2", "3", "4"]
 
-    def test_capacity_must_be_positive(self, backend):
+    def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            backend.make(capacity=0)
+            SpanRecorder(capacity=0)
 
-    def test_source_filter_skips_without_dropping(self, backend):
-        log = backend.make(source_filter=lambda s: s == "keep")
-        backend.emit(log, source="keep")
-        backend.emit(log, source="noise")
-        assert len(log) == 1
-        assert log.emitted == 2
-        assert log.dropped == 0
-        assert backend.entries(log, source="noise") == []
-
-    def test_empty_source_rejected(self, backend):
-        log = backend.make()
+    def test_empty_source_rejected(self):
+        log = SpanRecorder()
         with pytest.raises(ValueError):
-            backend.emit(log, source="")
+            _emit(log, source="")
 
-    def test_tail_and_clear(self, backend):
-        log = backend.make()
+    def test_tail_and_clear(self):
+        log = SpanRecorder()
         for i in range(4):
-            backend.emit(log, tag=str(i))
-        assert [backend.tag(e) for e in log.tail(2)] == ["2", "3"]
+            _emit(log, tag=str(i))
+        assert [s.name for s in log.tail(2)] == ["2", "3"]
         with pytest.raises(ValueError):
             log.tail(0)
         log.clear()

@@ -60,6 +60,48 @@ class TestExperimentCoverage:
         assert observed.render() == plain.render()
 
 
+class TestSameCodePath:
+    """Observation listens; it never chooses which code runs."""
+
+    @staticmethod
+    def _steady_run():
+        from repro.monitor import MeasurementScript
+        from repro.sim import Simulator
+        from repro.workloads import CpuHog
+        from repro.xen import PhysicalMachine, VMSpec
+
+        sim = Simulator(seed=7)
+        pm = PhysicalMachine(sim, name="pm1")
+        CpuHog(60.0).attach(pm.create_vm(VMSpec(name="vm0")))
+        pm.start()
+        report = MeasurementScript(pm).run(duration=30.0)
+        quanta = round(sim.now / pm.quantum)
+        traces = {
+            name: report.traces[name].values.tobytes()
+            for name in report.traces.names
+        }
+        return quanta, traces, report.validity
+
+    def test_memo_and_fast_plan_stay_on_under_obs(self, monkeypatch):
+        from repro.monitor import MeasurementScript
+
+        plain = self._steady_run()
+
+        def slow(self, now):
+            raise AssertionError("observed run took the reference path")
+
+        monkeypatch.setattr(MeasurementScript, "_sample_slow", slow)
+        with runtime.collecting() as collector:
+            observed = self._steady_run()
+        quanta = observed[0]
+        counters = _counter_values(collector)
+        assert counters[("repro_sched_water_fill_total", ())] < quanta
+        assert counters[
+            ("repro_monitor_ticks_total", (("pm", "pm1"),))
+        ] == 30
+        assert observed == plain
+
+
 class TestExecutorMerge:
     def test_pool_counters_match_serial(self):
         cells = _cells()
@@ -170,7 +212,6 @@ class TestCliObs:
         # The collector is torn down after export: later runs in this
         # process record nothing.
         assert runtime.installed() is None
-        assert not runtime.default_enabled()
 
     def test_obs_summary_and_require(self, tmp_path, capsys):
         obs_dir = tmp_path / "obs"

@@ -98,13 +98,13 @@ class TestRuntimeHelpers:
 
     def test_collecting_restores_previous_state(self):
         outer = runtime.install(ObsCollector())
-        runtime.set_default(False)
         with collecting():
             assert runtime.installed() is not outer
-            assert runtime.default_enabled()
         assert runtime.installed() is outer
-        assert not runtime.default_enabled()
         runtime.uninstall()
+        with collecting():
+            pass
+        assert runtime.installed() is None
 
 
 class TestCollectorSnapshot:
